@@ -35,6 +35,7 @@ from .experiments import (
     PAIR_LABELS,
     ExperimentConfig,
     builtin_joint,
+    check_consistency_args,
     run_consistency,
     run_endpoint_laws,
     run_null_model,
@@ -71,10 +72,22 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_laws(out_law: str, in_law: str):
+    """Both degree laws; a law that is malformed or has negative support is
+    a usage error."""
     try:
-        return parse_law(out_law), parse_law(in_law)
+        laws = parse_law(out_law), parse_law(in_law)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    for flag, law in zip(("--out-law", "--in-law"), laws):
+        if np.any(law.support < 0):
+            raise _UsageError(f"{flag} must be supported on non-negative integers")
+    return laws
+
+
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Environment: DEGDEP_ZETA_KMAX overrides the default truncation "
-            "(10^6) of zeta:a laws; DEGDEP_PURE_PYTHON=1 forces the numpy "
-            "pair-counting kernel."
+            "(10^6) of zeta:a laws."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,6 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    _require_positive(n=args.n, max_attempts=args.max_attempts)
     out_law, in_law = _parse_laws(args.out_law, args.in_law)
     rng = np.random.default_rng(args.seed)
     if args.model == "cm":
@@ -202,8 +215,10 @@ def _cmd_measure(args) -> int:
     unknown_measures = set(args.measures) - set(MEASURES)
     if unknown_measures:
         raise _UsageError(f"unknown measures: {sorted(unknown_measures)}")
+    _require_positive(tie_break_replicas=args.tie_break_replicas)
     graph = read_edge_list(args.graph)
-    report = full_report(graph, seed=args.seed, tie_break_replicas=args.tie_break_replicas)
+    report = full_report(graph, seed=args.seed, tie_break_replicas=args.tie_break_replicas,
+                         pairs=args.pairs, measures=args.measures)
     payload = report.to_dict()
     payload["pairs"] = {
         label: {
@@ -212,7 +227,6 @@ def _cmd_measure(args) -> int:
             if key in args.measures or key.startswith("degenerate_")
         }
         for label, entry in payload["pairs"].items()
-        if label in args.pairs
     }
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -272,6 +286,10 @@ def _cmd_experiment(args) -> int:
         write_summary_csv(rows, args.output + ".summary.csv")
         return 0
     if args.experiment == "consistency":
+        try:
+            check_consistency_args(args.sizes, args.replicas, args.tie_break_replicas)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         joint = _resolve_joint(args.joint)
         try:
             rows = run_consistency(

@@ -9,15 +9,19 @@ empirical edge law) are provided alongside so the exact rank identities can
 be verified.
 
 All estimators also accept raw integer pair data, which is how the sampling
-consistency experiments drive them.  Exact integer arithmetic is used for
-counts and rank sums wherever it fits in 64 bits; m here always denotes the
-number of edge occurrences (or data pairs).
+consistency experiments drive them; m here always denotes the number of
+edge occurrences (or data pairs).  Every measure is computed from one count
+table of the distinct (x, y) value pairs (`PairTable`), so the work that
+does not depend on tie-breaking grows with the number of distinct values,
+not with m.  Counts, rank sums and moments are exact integers at every m;
+each reported value is rounded to a float once, at the end.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +36,8 @@ __all__ = [
     "average_ranks",
     "concordance_counts",
     "kendall_naive",
+    "PairTable",
+    "measure_table",
     "spearman_uniform_xy",
     "spearman_average_xy",
     "kendall_xy",
@@ -50,9 +56,7 @@ __all__ = [
 
 MEASURES = ("spearman_uniform", "spearman_average", "kendall", "pearson")
 
-# exact int64 dot products of centered doubled ranks are safe below this size
-_EXACT_RANK_LIMIT = 2_000_000
-_EXACT_CDF_LIMIT = 1_200_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -70,17 +74,69 @@ def _as_values(values, name: str = "values") -> np.ndarray:
         if not np.all(arr == rounded):
             raise ValueError(f"{name} must be integers")
         arr = rounded
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
-def _require_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_values(x, "x")
-    y = _as_values(y, "y")
-    if x.size != y.size:
-        raise ValueError("x and y must have the same length")
-    if x.size < 2:
-        raise ValueError("need at least 2 data pairs (edge occurrences)")
-    return x, y
+def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values (ascending) and the index of each entry among them.
+
+    The index has the smallest unsigned dtype that holds it, so a stable
+    argsort of it is a linear-time radix sort for up to 65536 distinct
+    values.  Values spanning at most twice their count are tallied with
+    bincount instead of sorted.
+    """
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span <= 2 * values.size:
+        shifted = values - lo
+        present = np.bincount(shifted, minlength=span) > 0
+        uniq = np.flatnonzero(present) + lo
+        index_of = (np.cumsum(present) - 1).astype(np.min_scalar_type(uniq.size - 1))
+        return uniq, index_of[shifted]
+    uniq, codes = np.unique(values, return_inverse=True)
+    return uniq, codes.astype(np.min_scalar_type(uniq.size - 1))
+
+
+def _tie_broken_order(codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Entries by ascending value, each run of ties in uniformly random order.
+
+    A uniform random permutation followed by a stable sort on the value
+    index leaves the members of every tie group in the permutation's order.
+    """
+    perm = rng.permutation(codes.size)
+    return perm[np.argsort(codes[perm], kind="stable")]
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, bound: int) -> int:
+    """Sum of a*b as a Python int, for int64 vectors whose products are at
+    most `bound` in magnitude: summed in chunks whose int64 dot cannot wrap."""
+    step = max(1, _INT64_MAX // max(bound, 1))
+    return sum(int(np.dot(a[i:i + step], b[i:i + step])) for i in range(0, a.size, step))
+
+
+def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[int, int]:
+    """(sum c*v, sum c*v^2) over distinct values, in Python integers."""
+    pairs = list(zip(counts.tolist(), values.tolist()))
+    return sum(c * v for c, v in pairs), sum(c * v * v for c, v in pairs)
+
+
+def _correlation(num: int, var_a: int, var_b: int) -> float | None:
+    """num / sqrt(var_a var_b) from exact integers; None on a zero variance.
+
+    A perfect-square product divides exactly, so exact correlations such as
+    +-1 or -1/2 come out exact.
+    """
+    if var_a == 0 or var_b == 0:
+        return None
+    prod = var_a * var_b
+    root = math.isqrt(prod)
+    denom = root if root * root == prod else math.sqrt(prod)
+    return min(1.0, max(-1.0, num / denom))
+
+
+def _pair_count(counts: np.ndarray) -> int:
+    """Unordered pairs inside groups of the given sizes."""
+    return int(np.sum(counts * (counts - 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -89,32 +145,50 @@ def _require_pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def uniform_ranks(values, rng=None, *, noise=None) -> np.ndarray:
-    """Ranks with ties broken by fresh iid uniform noise; rank 1 = largest.
+    """Ranks with ties broken uniformly at random; rank 1 = largest.
 
-    Equivalent to ranking the continuized values v + U: the noise can only
-    reorder exact ties, so the result is always a permutation of 1..m and is
-    deterministic given the RNG state.  An explicit per-entry `noise` vector
-    may be supplied instead of an RNG.
+    The result is always a permutation of 1..m and is deterministic given
+    the RNG state: one uniform permutation of the entries orders every run of
+    tied values.  An explicit per-entry `noise` vector may be supplied
+    instead of an RNG; ties are then broken by ascending noise, which is
+    ranking the continuized values v + U.
     """
     values = _as_values(values)
     if noise is None:
-        noise = _as_rng(rng).random(values.size)
+        order = _tie_broken_order(_compress(values)[1], _as_rng(rng))
     else:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != values.shape:
             raise ValueError("noise must match values in length")
-    order = np.lexsort((noise, values))  # ascending value, ties by noise
+        order = np.lexsort((noise, values))  # ascending value, ties by noise
     ranks = np.empty(values.size, dtype=np.int64)
     ranks[order] = np.arange(values.size, 0, -1)
     return ranks
 
 
+def _doubled_ranks_by_value(counts: np.ndarray) -> np.ndarray:
+    """2 * average rank per distinct value, given the counts in ascending
+    value order: 1 + 2*(#greater) + (#equal)."""
+    greater = counts.sum() - np.cumsum(counts)
+    return 1 + 2 * greater + counts
+
+
+def _tie_aware_by_value(counts: np.ndarray) -> np.ndarray:
+    """m * tie-aware empirical cdf per distinct value: count(<= v) + count(< v)."""
+    cum = np.cumsum(counts)
+    return cum + cum - counts
+
+
 def _average_ranks_doubled(values: np.ndarray) -> np.ndarray:
-    """2 * average rank as exact integers: 1 + 2*(#greater) + (#equal)."""
-    uniq, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
-    greater = counts.sum() - np.cumsum(counts)  # strictly greater than uniq[i]
-    doubled = 1 + 2 * greater + counts
-    return doubled[inv].astype(np.int64)
+    """2 * average rank of every entry, as exact integers."""
+    codes = _compress(values)[1]
+    return _doubled_ranks_by_value(np.bincount(codes))[codes]
+
+
+def _empirical_tie_aware_int(values: np.ndarray) -> np.ndarray:
+    """m * tie-aware empirical cdf at every entry: count(<= v) + count(<= v-1)."""
+    codes = _compress(values)[1]
+    return _tie_aware_by_value(np.bincount(codes))[codes]
 
 
 def average_ranks(values) -> np.ndarray:
@@ -127,44 +201,221 @@ def average_ranks(values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The per-pair count table
+# ---------------------------------------------------------------------------
+
+
+def _below_counts(grid: np.ndarray) -> np.ndarray:
+    """Padded 2-D prefix sums: entry (i, j) counts the occurrences whose x
+    index is < i and whose y index is < j."""
+    below = np.zeros((grid.shape[0] + 1, grid.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(grid, axis=0), axis=1, out=below[1:, 1:])
+    return below
+
+
+def _grid_concordance(grid: np.ndarray) -> tuple[int, int]:
+    """(concordant, discordant) pair counts of a dense count grid.
+
+    The ordinal contingency-table form of Kendall's statistic: each cell is
+    concordant with the cells below-left of it and discordant with those
+    above-left.  Every partial sum is at most m^2, so int64 is exact.
+    """
+    below = _below_counts(grid)
+    lower_left = below[:-1, :-1]
+    upper_left = below[:-1, -1:] - below[:-1, 1:]
+    return int(np.vdot(grid, lower_left)), int(np.vdot(grid, upper_left))
+
+
+class PairTable:
+    """Counts of the distinct (x, y) value pairs among m data pairs.
+
+    Each side is compressed to its distinct values `ux`, `uy` (K_x and K_y
+    of them, with occurrence counts `wx`, `wy`), and each occurrence to its
+    value indices `cx`, `cy`.  When K_x * K_y <= 4m the occurrences are also
+    tabulated into the dense count `grid`.  That always holds for the
+    endpoint degrees of a graph: distinct degrees of distinct nodes sum to
+    at most m, so K(K-1)/2 <= m on each side.  Wider raw data has no grid
+    and counts concordance by the O(m log m) merge count instead.
+
+    The table is built once per (graph, pair) and every measure is read from
+    it; the four estimators need at least two data pairs.
+    """
+
+    def __init__(self, x, y):
+        x = _as_values(x, "x")
+        y = _as_values(y, "y")
+        if x.size != y.size:
+            raise ValueError("x and y must have the same length")
+        self.m = int(x.size)
+        self.ux, self.cx = _compress(x)
+        self.uy, self.cy = _compress(y)
+        kx, ky = self.ux.size, self.uy.size
+        self.wx = np.bincount(self.cx, minlength=kx)
+        self.wy = np.bincount(self.cy, minlength=ky)
+        self.grid = None
+        if kx * ky <= 4 * self.m:
+            cell = self.cx.astype(np.int64) * ky + self.cy
+            self.grid = np.bincount(cell, minlength=kx * ky).reshape(kx, ky)
+
+    @classmethod
+    def of_graph(cls, g: DirectedMultigraph, pair: DegreeTypePair) -> "PairTable":
+        """The table of a graph's endpoint degrees over its edge occurrences."""
+        return cls(*_view_arrays(g, pair))
+
+    @property
+    def degenerate_source(self) -> bool:
+        return self.ux.size == 1
+
+    @property
+    def degenerate_target(self) -> bool:
+        return self.uy.size == 1
+
+    def _require_pairs(self) -> None:
+        if self.m < 2:
+            raise ValueError("need at least 2 data pairs (edge occurrences)")
+
+    def _int64_row_sums(self, b: np.ndarray) -> np.ndarray:
+        if self.grid is not None:
+            return self.grid @ b
+        rows = np.zeros(self.ux.size, dtype=np.int64)
+        np.add.at(rows, self.cx, b[self.cy])
+        return rows
+
+    def cross_sum(self, a: np.ndarray, b: np.ndarray) -> int:
+        """Exact sum over occurrences of a[x index] * b[y index].
+
+        `a` and `b` are int64 vectors over the distinct x and y values.  Each
+        row sum of b is at most m * max|b|; when that could wrap int64, b is
+        split into 32-bit halves whose row sums cannot.
+        """
+        if self.m * max(-int(b.min()), int(b.max())) <= _INT64_MAX:
+            rows = self._int64_row_sums(b).tolist()
+        else:
+            high = self._int64_row_sums(b >> 32).tolist()
+            low = self._int64_row_sums(b & 0xFFFFFFFF).tolist()
+            rows = [(h << 32) + l for h, l in zip(high, low)]
+        return sum(map(operator.mul, a.tolist(), rows))
+
+    def _merge_concordance(self) -> tuple[int, int]:
+        """(concordant, discordant) by sorting and merge-counting inversions.
+
+        Sorting by (x, then y) turns the discordant count into a strict
+        inversion count of the y sequence; the tie groups are handled by
+        exact run-length arithmetic.
+        """
+        order = np.lexsort((self.cy, self.cx))
+        xs, ys = self.cx[order], self.cy[order]
+        discordant = kernels.count_inversions(ys)
+        starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])
+        ties_xy = _pair_count(np.diff(np.r_[starts, self.m]))
+        total = self.m * (self.m - 1) // 2
+        concordant = (total - _pair_count(self.wx) - _pair_count(self.wy)
+                      + ties_xy - discordant)
+        return int(concordant), int(discordant)
+
+    def concordance(self) -> tuple[int, int]:
+        """Exact (concordant, discordant) unordered pair counts.
+
+        A pair is concordant iff (x_i - x_j)(y_i - y_j) > 0 and discordant
+        iff < 0; pairs tied in either coordinate count in neither.
+        """
+        if self.grid is None:
+            return self._merge_concordance()
+        return _grid_concordance(self.grid)
+
+    def kendall(self) -> float:
+        """Kendall's tau-a: 2(N_C - N_D) / (m(m-1)), ties uncorrected."""
+        self._require_pairs()
+        n_c, n_d = self.concordance()
+        return 2 * (n_c - n_d) / (self.m * (self.m - 1))
+
+    def spearman_average(self) -> float | None:
+        """Spearman's rho on average ranks; None when a side is fully tied.
+
+        Numerator and the two variance terms are the classical tie-corrected
+        forms 4*sum(Ra Rb) - m(m+1)^2 and 4*sum(R^2) - m(m+1)^2, summed
+        exactly over the table through centered doubled ranks.
+        """
+        self._require_pairs()
+        da = _doubled_ranks_by_value(self.wx) - (self.m + 1)
+        db = _doubled_ranks_by_value(self.wy) - (self.m + 1)
+        return _correlation(
+            self.cross_sum(da, db), _moments(self.wx, da)[1], _moments(self.wy, db)[1]
+        )
+
+    def pearson(self) -> float | None:
+        """Sample Pearson correlation of the raw pairs; None on zero variance.
+
+        The sums of x, x^2, y^2 and xy are exact integers at any m and any
+        value size.
+        """
+        self._require_pairs()
+        m = self.m
+        sx, sxx = _moments(self.wx, self.ux)
+        sy, syy = _moments(self.wy, self.uy)
+        num = m * self.cross_sum(self.ux, self.uy) - sx * sy
+        return _correlation(num, m * sxx - sx * sx, m * syy - sy * sy)
+
+    def spearman_uniform(self, rng) -> float:
+        """Spearman's rho after random tie-breaking, one draw per call.
+
+        Source and target ties are broken by two independent permutations
+        drawn from the given RNG; sharing one would couple the orders of
+        occurrences tied on both sides.  With both rank vectors permutations
+        of 1..m, the classical closed form reduces to
+        3 * sum((2Ra-(m+1))(2Rb-(m+1))) / (m^3 - m).
+        """
+        self._require_pairs()
+        m = self.m
+        rng = _as_rng(rng)
+        centered = np.arange(m - 1, -m, -2)  # 2R - (m+1) in ascending value order
+        da = np.empty(m, dtype=np.int64)
+        da[_tie_broken_order(self.cx, rng)] = centered
+        db = np.empty(m, dtype=np.int64)
+        db[_tie_broken_order(self.cy, rng)] = centered
+        value = 3 * _exact_dot(da, db, (m - 1) ** 2) / (m**3 - m)
+        return min(1.0, max(-1.0, value))
+
+
+def measure_table(
+    table: PairTable, measure: str, seed_parts: tuple, tie_break_replicas: int
+) -> float | None:
+    """One measure read from a pair's table.
+
+    The uniform-rank Spearman value is the mean of `tie_break_replicas`
+    draws; draw `rep` uses the RNG seeded by
+    child_seed(*seed_parts, rep, "tie-break"), so each caller keeps its own
+    seed layout.
+    """
+    if measure == "spearman_uniform":
+        draws = [
+            table.spearman_uniform(child_seed(*seed_parts, rep, "tie-break"))
+            for rep in range(tie_break_replicas)
+        ]
+        return float(np.mean(draws))
+    if measure == "spearman_average":
+        return table.spearman_average()
+    if measure == "kendall":
+        return table.kendall()
+    if measure == "pearson":
+        return table.pearson()
+    raise ValueError(f"unknown measure {measure!r}; known: {MEASURES}")
+
+
+# ---------------------------------------------------------------------------
 # Concordant / discordant pair counting
 # ---------------------------------------------------------------------------
 
 
-def _run_pair_count(change_mask: np.ndarray) -> int:
-    """Unordered pairs inside equal runs, given a 'new run starts here' mask."""
-    starts = np.flatnonzero(change_mask)
-    counts = np.diff(np.r_[starts, change_mask.size])
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
 def concordance_counts(x, y) -> tuple[int, int]:
-    """Exact (concordant, discordant) unordered pair counts in O(m log m).
+    """Exact (concordant, discordant) unordered pair counts.
 
-    A pair is concordant iff (x_i - x_j)(y_i - y_j) > 0 and discordant iff
-    < 0; pairs tied in either coordinate count in neither.  Sorting by
-    (x, then y) turns the discordant count into a strict inversion count of
-    the y sequence, delegated to the counting kernel; the tie groups are
-    handled by exact run-length arithmetic.
+    Read from the dense count table when the data has one, otherwise by an
+    O(m log m) merge count; see `PairTable`.
     """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    m = x.size
-    if m < 2:
+    if np.size(x) < 2:
         return 0, 0
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = y[order]
-    discordant = kernels.count_inversions(ys)
-    total = m * (m - 1) // 2
-    ties_x = _run_pair_count(np.r_[True, xs[1:] != xs[:-1]])
-    y_sorted = np.sort(y)
-    ties_y = _run_pair_count(np.r_[True, y_sorted[1:] != y_sorted[:-1]])
-    ties_xy = _run_pair_count(
-        np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]
-    )
-    concordant = total - ties_x - ties_y + ties_xy - discordant
-    return int(concordant), int(discordant)
+    return PairTable(x, y).concordance()
 
 
 def kendall_naive(x, y) -> tuple[int, int]:
@@ -193,98 +444,29 @@ def kendall_naive(x, y) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _centered_rank_dot(r2a: np.ndarray, r2b: np.ndarray, m: int):
-    """Sum over pairs of (2R_a - (m+1)) (2R_b - (m+1)); exact when it fits."""
-    da = r2a - (m + 1)
-    db = r2b - (m + 1)
-    if m <= _EXACT_RANK_LIMIT:
-        return int(np.dot(da, db))
-    return float(np.dot(da.astype(np.float64), db.astype(np.float64)))
-
-
 def spearman_uniform_xy(x, y, rng) -> float:
-    """Spearman's rho after random tie-breaking, one draw per call.
-
-    Source and target ranks use two independent noise vectors drawn from the
-    given RNG.  With both rank vectors permutations of 1..m, the classical
-    closed form reduces to 3 * sum((2Ra-(m+1))(2Rb-(m+1))) / (m^3 - m).
-    """
-    x, y = _require_pairs(x, y)
-    rng = _as_rng(rng)
-    m = x.size
-    ra = uniform_ranks(x, rng)
-    rb = uniform_ranks(y, rng)
-    num = _centered_rank_dot(2 * ra, 2 * rb, m)
-    value = 3 * num / (m**3 - m)
-    return min(1.0, max(-1.0, value))
+    """Spearman's rho after random tie-breaking, one draw per call; see
+    `PairTable.spearman_uniform`."""
+    return PairTable(x, y).spearman_uniform(rng)
 
 
 def spearman_average_xy(x, y) -> float | None:
-    """Spearman's rho on average ranks; None when a side is fully tied.
-
-    Numerator and the two variance terms are the classical tie-corrected
-    forms 4*sum(Ra Rb) - m(m+1)^2 and sqrt(4*sum(R^2) - m(m+1)^2), computed
-    exactly through centered doubled ranks.
-    """
-    x, y = _require_pairs(x, y)
-    m = x.size
-    r2a = _average_ranks_doubled(x)
-    r2b = _average_ranks_doubled(y)
-    var_a = _centered_rank_dot(r2a, r2a, m)
-    var_b = _centered_rank_dot(r2b, r2b, m)
-    if var_a == 0 or var_b == 0:
-        return None
-    num = _centered_rank_dot(r2a, r2b, m)
-    if isinstance(num, int) and isinstance(var_a, int) and isinstance(var_b, int):
-        prod = var_a * var_b
-        root = math.isqrt(prod)
-        denom = root if root * root == prod else math.sqrt(prod)
-    else:
-        denom = math.sqrt(float(var_a) * float(var_b))
-    return min(1.0, max(-1.0, num / denom))
+    """Spearman's rho on average ranks; None when a side is fully tied."""
+    return PairTable(x, y).spearman_average()
 
 
 def kendall_xy(x, y) -> float:
     """Kendall's tau-a: 2(N_C - N_D) / (m(m-1)), ties uncorrected."""
-    x, y = _require_pairs(x, y)
-    m = x.size
-    n_c, n_d = concordance_counts(x, y)
-    return 2 * (n_c - n_d) / (m * (m - 1))
+    return PairTable(x, y).kendall()
 
 
 def pearson_xy(x, y) -> float | None:
     """Sample Pearson correlation of the raw pairs; None on zero variance.
 
-    Uses exact integer sums when they provably fit in 64 bits (so small
-    graphs produce exact rationals), and a two-pass mean-then-moments double
-    precision path otherwise for stability on heavy-tailed degrees.
+    Exact integer moments at any size, so small graphs produce exact
+    rationals.
     """
-    x, y = _require_pairs(x, y)
-    m = x.size
-    mx = int(np.abs(x).max())
-    my = int(np.abs(y).max())
-    bound = 2**62
-    if m * max(mx, 1) ** 2 < bound and m * max(my, 1) ** 2 < bound:
-        sx, sy = int(x.sum()), int(y.sum())
-        sxx, syy = int(np.dot(x, x)), int(np.dot(y, y))
-        sxy = int(np.dot(x, y))
-        var_x = m * sxx - sx * sx
-        var_y = m * syy - sy * sy
-        if var_x == 0 or var_y == 0:
-            return None
-        num = m * sxy - sx * sy
-        prod = var_x * var_y
-        root = math.isqrt(prod)
-        denom = root if root * root == prod else math.sqrt(prod)
-        return min(1.0, max(-1.0, num / denom))
-    dx = x - x.mean()
-    dy = y - y.mean()
-    var_x = float(np.dot(dx, dx))
-    var_y = float(np.dot(dy, dy))
-    if var_x == 0.0 or var_y == 0.0:
-        return None
-    value = float(np.dot(dx, dy)) / math.sqrt(var_x * var_y)
-    return min(1.0, max(-1.0, value))
+    return PairTable(x, y).pearson()
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +481,22 @@ def _view_arrays(g: DirectedMultigraph, pair: DegreeTypePair) -> tuple[np.ndarra
 
 def spearman_uniform(g: DirectedMultigraph, pair: DegreeTypePair, rng) -> float:
     """Uniform-rank Spearman's rho of the endpoint degrees; one tie-break draw."""
-    x, y = _view_arrays(g, pair)
-    return spearman_uniform_xy(x, y, rng)
+    return PairTable.of_graph(g, pair).spearman_uniform(rng)
 
 
 def spearman_average(g: DirectedMultigraph, pair: DegreeTypePair) -> float | None:
     """Average-rank Spearman's rho; None when a side's degrees are constant."""
-    x, y = _view_arrays(g, pair)
-    return spearman_average_xy(x, y)
+    return PairTable.of_graph(g, pair).spearman_average()
 
 
 def kendall_graph(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
     """Kendall's tau-a of the endpoint degrees over edge occurrences."""
-    x, y = _view_arrays(g, pair)
-    return kendall_xy(x, y)
+    return PairTable.of_graph(g, pair).kendall()
 
 
 def pearson_assortativity(g: DirectedMultigraph, pair: DegreeTypePair) -> float | None:
     """Pearson correlation of the endpoint degrees; None on a constant side."""
-    x, y = _view_arrays(g, pair)
-    return pearson_xy(x, y)
-
-
-def _empirical_tie_aware_int(values: np.ndarray) -> np.ndarray:
-    """m * tie-aware empirical cdf at each value: count(<= v) + count(<= v-1)."""
-    uniq, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    return (cum + cum - counts)[inv]
+    return PairTable.of_graph(g, pair).pearson()
 
 
 def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
@@ -336,15 +507,9 @@ def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> 
     counts and one exact rational division at the end.
     """
     g._require_edges()
-    x, y = _view_arrays(g, pair)
-    m = x.size
-    sfa = _empirical_tie_aware_int(x)
-    sfb = _empirical_tie_aware_int(y)
-    if m <= _EXACT_CDF_LIMIT:
-        total = int(np.dot(sfa, sfb))
-        return float(Fraction(3 * total, m**3) - 3)
-    total = float(np.dot(sfa.astype(np.float64), sfb.astype(np.float64)))
-    return 3.0 * total / m**3 - 3.0
+    table = PairTable.of_graph(g, pair)
+    total = table.cross_sum(_tie_aware_by_value(table.wx), _tie_aware_by_value(table.wy))
+    return float(Fraction(3 * total, table.m**3) - 3)
 
 
 def kendall_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
@@ -356,18 +521,12 @@ def kendall_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> f
     denominator.
     """
     g._require_edges()
-    x, y = _view_arrays(g, pair)
-    m = x.size
-    ux, ix = np.unique(x, return_inverse=True)
-    uy, iy = np.unique(y, return_inverse=True)
-    grid = np.zeros((ux.size + 1, uy.size + 1), dtype=np.int64)
-    np.add.at(grid, (ix + 1, iy + 1), 1)
-    cum = grid.cumsum(axis=0).cumsum(axis=1)
-    # with integer data, count(<= v - 1) is the padded index of v itself
-    total = int(
-        np.sum(cum[ix + 1, iy + 1] + cum[ix, iy + 1] + cum[ix + 1, iy] + cum[ix, iy])
-    )
-    return float(Fraction(total, m * m) - 1)
+    table = PairTable.of_graph(g, pair)
+    grid = table.grid  # degree data always has one; see PairTable
+    below = _below_counts(grid)
+    # with integer data, count(<= v - 1) is count(< v)
+    tie_aware = below[1:, 1:] + below[:-1, 1:] + below[1:, :-1] + below[:-1, :-1]
+    return float(Fraction(int(np.vdot(grid, tie_aware)), table.m**2) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +536,14 @@ def kendall_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> f
 
 @dataclass(frozen=True)
 class PairMeasures:
-    """All four measures for one degree-type pair, with degeneracy flags."""
+    """All four measures for one degree-type pair, with degeneracy flags.
 
-    spearman_uniform: float
+    A measure that was not asked for is None, as is an undefined one.
+    """
+
+    spearman_uniform: float | None
     spearman_average: float | None
-    kendall: float
+    kendall: float | None
     pearson: float | None
     degenerate_source: bool
     degenerate_target: bool
@@ -399,7 +561,7 @@ class PairMeasures:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Measures for all four degree-type pairs plus graph metadata."""
+    """Measures for the degree-type pairs plus graph metadata."""
 
     n: int
     edges: int
@@ -430,35 +592,42 @@ class CorrelationReport:
 
 
 def full_report(
-    g: DirectedMultigraph, seed: int, tie_break_replicas: int = 1
+    g: DirectedMultigraph,
+    seed: int,
+    tie_break_replicas: int = 1,
+    *,
+    pairs=tuple(p.label for p in ALL_PAIRS),
+    measures=MEASURES,
 ) -> CorrelationReport:
-    """All four measures for all four pairs.
+    """The requested measures for the requested pairs (default: all of both).
 
     The uniform-rank Spearman value is the mean over `tie_break_replicas`
     independent tie-break draws (1 reproduces a single draw); every draw gets
-    its own child seed, so identical (graph, seed, replicas) inputs give an
-    identical report.  Degenerate sides are flagged and yield None for the
-    average-rank and Pearson entries instead of an error.
+    its own child seed from (seed, pair index, replica), so identical (graph,
+    seed, replicas) inputs give an identical report, and a pair's values do
+    not depend on which other pairs or measures are asked for.  Degenerate
+    sides are flagged and yield None for the average-rank and Pearson
+    entries instead of an error.
     """
     if g.edge_count < 2:
         raise ValueError("full report requires at least 2 edge occurrences")
     if tie_break_replicas < 1:
         raise ValueError("tie_break_replicas must be >= 1")
-    pairs: dict[str, PairMeasures] = {}
+    unknown = (set(pairs) - {p.label for p in ALL_PAIRS}) | (set(measures) - set(MEASURES))
+    if unknown:
+        raise ValueError(f"unknown pairs or measures: {sorted(unknown)}")
+    report: dict[str, PairMeasures] = {}
     for pair_index, pair in enumerate(ALL_PAIRS):
-        x, y = _view_arrays(g, pair)
-        draws = [
-            spearman_uniform_xy(
-                x, y, child_seed(seed, pair_index, rep, "tie-break")
-            )
-            for rep in range(tie_break_replicas)
-        ]
-        pairs[pair.label] = PairMeasures(
-            spearman_uniform=float(np.mean(draws)),
-            spearman_average=spearman_average_xy(x, y),
-            kendall=kendall_xy(x, y),
-            pearson=pearson_xy(x, y),
-            degenerate_source=bool(np.all(x == x[0])),
-            degenerate_target=bool(np.all(y == y[0])),
+        if pair.label not in pairs:
+            continue
+        table = PairTable.of_graph(g, pair)
+        values = {
+            measure: measure_table(table, measure, (seed, pair_index), tie_break_replicas)
+            for measure in measures
+        }
+        report[pair.label] = PairMeasures(
+            **{measure: values.get(measure) for measure in MEASURES},
+            degenerate_source=table.degenerate_source,
+            degenerate_target=table.degenerate_target,
         )
-    return CorrelationReport(n=g.n, edges=g.edge_count, seed=int(seed), pairs=pairs)
+    return CorrelationReport(n=g.n, edges=g.edge_count, seed=int(seed), pairs=report)

@@ -14,8 +14,10 @@ Three canned experiments drive the library end to end:
 Every cell (size index, replica index) owns RNGs seeded by
 :func:`degdep.seeding.child_seed`, so results do not depend on execution
 order and sweeps are byte-reproducible (the runtime_ms column is excluded
-from that contract).  Cells may run concurrently; rows are sorted before
-writing.
+from that contract).  Each (graph or sample, pair) is tabulated once and
+every measure read from that table, so a row's runtime_ms is the table
+build plus its own measure.  Cells may run concurrently; rows are sorted
+before writing.
 """
 
 from __future__ import annotations
@@ -35,9 +37,14 @@ from .config_model import (
     generate_ecm,
     generate_rcm,
 )
+# kendall_xy, pearson_xy and the two Spearman estimators are not called here
+# any more; they stay importable from this module, where outside code that
+# wraps them looks them up
 from .correlations import (
     MEASURES,
+    PairTable,
     kendall_xy,
+    measure_table,
     pearson_xy,
     spearman_average_xy,
     spearman_uniform_xy,
@@ -61,6 +68,7 @@ __all__ = [
     "EndpointLawRow",
     "run_null_model",
     "run_consistency",
+    "check_consistency_args",
     "run_endpoint_laws",
     "write_rows_csv",
     "read_rows_csv",
@@ -105,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if self.tie_break_replicas < 1:
             raise ValueError("tie_break_replicas must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         for label in self.pairs:
             DegreeTypePair.from_label(label)
         unknown = set(self.measures) - set(MEASURES)
@@ -293,22 +303,6 @@ def _generate(config: ExperimentConfig, n: int, gen_seed: int):
     return generate_ecm(n, out_law, in_law, rng)
 
 
-def _measure_pair(config, x, y, size_index, replica, pair_index, measure):
-    if measure == "spearman_uniform":
-        draws = [
-            spearman_uniform_xy(
-                x, y, child_seed(config.seed, size_index, replica, pair_index, rep, "tie-break")
-            )
-            for rep in range(config.tie_break_replicas)
-        ]
-        return float(np.mean(draws))
-    if measure == "spearman_average":
-        return spearman_average_xy(x, y)
-    if measure == "kendall":
-        return kendall_xy(x, y)
-    return pearson_xy(x, y)
-
-
 def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
     """Measure every configured pair on a grid of generated graphs.
 
@@ -339,15 +333,14 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
             result.ledger.total_erased / n if config.model == "ecm" else None
         )
         for label in config.pairs:
-            pair = DegreeTypePair.from_label(label)
-            view = result.graph.edge_degree_view(pair)
-            x, y = view.source_degrees, view.target_degrees
+            t0 = time.perf_counter()
+            table = PairTable.of_graph(result.graph, DegreeTypePair.from_label(label))
+            build_s = time.perf_counter() - t0
+            seed_parts = (config.seed, size_index, replica, pair_index[label])
             for measure in config.measures:
                 t0 = time.perf_counter()
-                value = _measure_pair(
-                    config, x, y, size_index, replica, pair_index[label], measure
-                )
-                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                value = measure_table(table, measure, seed_parts, config.tie_break_replicas)
+                elapsed_ms = (build_s + time.perf_counter() - t0) * 1e3
                 rows.append(
                     ExperimentRow(
                         n=n, replica=replica, pair=label, measure=measure,
@@ -382,6 +375,19 @@ def builtin_joint(name: str) -> JointPmf:
     raise ValueError(f"unknown builtin joint {name!r}; known: {BUILTIN_JOINTS}")
 
 
+def check_consistency_args(sizes, replicas: int, tie_break_replicas: int) -> tuple[int, ...]:
+    """The validated sample sizes of a consistency sweep; ValueError on a
+    size below 2 or a replica count below 1."""
+    sizes = tuple(int(s) for s in sizes)
+    if not sizes or any(s < 2 for s in sizes):
+        raise ValueError("sizes must all be >= 2")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if tie_break_replicas < 1:
+        raise ValueError("tie_break_replicas must be >= 1")
+    return sizes
+
+
 def run_consistency(
     joint: JointPmf,
     sizes,
@@ -397,9 +403,7 @@ def run_consistency(
     ranks, its S-factor-rescaled version for average ranks, and the
     population Kendall tau.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 2 for s in sizes):
-        raise ValueError("sizes must all be >= 2")
+    sizes = check_consistency_args(sizes, replicas, tie_break_replicas)
     targets = {
         "spearman_uniform": spearman_population(joint),
         "spearman_average": spearman_average_limit(joint),
@@ -413,22 +417,16 @@ def run_consistency(
             child_seed(seed, size_index, replica, "consistency-sample")
         )
         x, y = joint.sample(sample_rng, n)
+        t0 = time.perf_counter()
+        table = PairTable(x, y)
+        build_s = time.perf_counter() - t0
         rows = []
         for measure in CONSISTENCY_MEASURES:
             t0 = time.perf_counter()
-            if measure == "spearman_uniform":
-                draws = [
-                    spearman_uniform_xy(
-                        x, y, child_seed(seed, size_index, replica, rep, "tie-break")
-                    )
-                    for rep in range(tie_break_replicas)
-                ]
-                value = float(np.mean(draws))
-            elif measure == "spearman_average":
-                value = spearman_average_xy(x, y)
-            else:
-                value = kendall_xy(x, y)
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            value = measure_table(
+                table, measure, (seed, size_index, replica), tie_break_replicas
+            )
+            elapsed_ms = (build_s + time.perf_counter() - t0) * 1e3
             target = targets[measure]
             rows.append(
                 ConsistencyRow(

@@ -1,31 +1,10 @@
-"""Inversion-counting kernels: compiled core with a pure-numpy fallback.
+"""Inversion counting for the merge count of concordant pairs (pure numpy).
 
-The backend is chosen once at import time.  Set DEGDEP_PURE_PYTHON=1 to force
-the fallback even when the compiled extension is available (useful for the
-benchmark and for debugging).
+Only data too wide for a dense count table reaches it; see
+`degdep.correlations.PairTable`.
 """
 
-import os
+from ._fallback import count_inversions
 
-from . import _fallback
-
-_compiled = None
-if os.environ.get("DEGDEP_PURE_PYTHON") != "1":
-    try:
-        from . import _ckernels as _compiled
-    except ImportError:
-        _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "python"
-count_inversions = (_compiled or _fallback).count_inversions
-
-
-def available_backends() -> dict:
-    """Map backend name -> count_inversions implementation, for tests/bench."""
-    out = {"python": _fallback.count_inversions}
-    try:
-        from . import _ckernels
-        out["compiled"] = _ckernels.count_inversions
-    except ImportError:
-        pass
-    return out
+# name of the implementation in use, for run reports; there is one
+BACKEND = "python"

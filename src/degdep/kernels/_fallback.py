@@ -1,9 +1,8 @@
-"""Pure-numpy inversion counting, used when the compiled kernel is absent.
+"""Pure-numpy inversion counting: pairs i < j with seq[i] > seq[j].
 
-Same contract as the compiled version: count pairs i < j with seq[i] > seq[j].
-The algorithm is a bottom-up merge count where every level merges all block
-pairs at once through one lexsort, so the Python-level loop runs O(log m)
-times instead of O(m).
+The algorithm is a bottom-up merge count (Knight 1966) where every level
+merges all block pairs at once through one lexsort, so the Python-level loop
+runs O(log m) times instead of O(m).
 """
 
 import numpy as np

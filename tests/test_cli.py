@@ -5,6 +5,7 @@ import json
 import pytest
 
 from degdep.cli import main
+from degdep.correlations import PairTable
 
 
 def run_cli(*argv):
@@ -107,6 +108,29 @@ class TestMeasure:
         assert list(payload["pairs"]) == ["out-in"]
         entry = payload["pairs"]["out-in"]
         assert set(entry) == {"kendall", "degenerate_source", "degenerate_target"}
+
+    def test_subset_computes_only_what_is_asked(self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "g.tsv"
+        assert run_cli("generate", "--model", "ecm", "--n", "400", "--out-law", "zeta:2.5",
+                       "--in-law", "zeta:2.5", "--seed", "3", "-o", str(graph)) == 0
+        assert run_cli("measure", str(graph), "--seed", "5", "--tie-break-replicas", "3") == 0
+        full = json.loads(capsys.readouterr().out)["pairs"]
+
+        # a pair's draws are seeded by its own index, whatever else is asked
+        assert run_cli("measure", str(graph), "--seed", "5", "--tie-break-replicas", "3",
+                       "--pairs", "in-in", "--measures", "spearman_uniform") == 0
+        entry = json.loads(capsys.readouterr().out)["pairs"]["in-in"]
+        assert entry["spearman_uniform"] == full["in-in"]["spearman_uniform"]
+
+        def no_draws(*args):
+            raise AssertionError("a uniform-rank draw ran")
+
+        monkeypatch.setattr(PairTable, "spearman_uniform", no_draws)
+        assert run_cli("measure", str(graph), "--seed", "5", "--tie-break-replicas", "3",
+                       "--pairs", "out-in", "--measures", "kendall") == 0
+        payload = json.loads(capsys.readouterr().out)
+        keys = ("kendall", "degenerate_source", "degenerate_target")
+        assert payload["pairs"] == {"out-in": {k: full["out-in"][k] for k in keys}}
 
     def test_csv_format(self, worked_graph, tmp_path):
         out = tmp_path / "report.csv"
@@ -213,3 +237,64 @@ class TestExperimentCommands:
             "--seed", "1", "-o", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+
+_LAWS = ("--out-law", "poisson:2", "--in-law", "poisson:2")
+_NULL = ("experiment", "null-model", "--model", "cm", "--sizes", "50", *_LAWS, "--seed", "1")
+_CONS = ("experiment", "consistency", "--joint", "bernoulli-equal", "--seed", "1")
+_TAB1 = ("experiment", "table1", "--sizes", "50", *_LAWS, "--seed", "1")
+
+# argv with {graph}, {bad} and {missing} placeholders, and the exit code
+EXIT_CODES = {
+    "generate-n-0": (["generate", "--model", "cm", "--n", "0", *_LAWS, "--seed", "1"], 1),
+    "generate-negative-support": (
+        ["generate", "--model", "cm", "--n", "10", "--out-law", "uniform:-2..3",
+         "--in-law", "poisson:1", "--seed", "1"], 1),
+    "generate-bad-law": (
+        ["generate", "--model", "cm", "--n", "10", "--out-law", "cauchy:1",
+         "--in-law", "poisson:1", "--seed", "1"], 1),
+    "generate-max-attempts-0": (
+        ["generate", "--model", "rcm", "--n", "10", *_LAWS, "--seed", "1",
+         "--max-attempts", "0"], 1),
+    "generate-rcm-exhausted": (
+        ["generate", "--model", "rcm", "--n", "3000", "--out-law", "zeta:2.1",
+         "--in-law", "zeta:2.1", "--seed", "1", "--max-attempts", "10"], 3),
+    "generate-unwritable": (
+        ["generate", "--model", "cm", "--n", "10", *_LAWS, "--seed", "1",
+         "-o", "{missing}/g.tsv"], 2),
+    "measure-tie-break-replicas-0": (["measure", "{graph}", "--tie-break-replicas", "0"], 1),
+    "measure-unknown-measure": (["measure", "{graph}", "--measures", "tau"], 1),
+    "measure-missing-graph": (["measure", "{missing}/g.tsv"], 2),
+    "measure-malformed-graph": (["measure", "{bad}"], 2),
+    "null-model-replicas-0": ([*_NULL, "--replicas", "0"], 1),
+    "null-model-tie-break-replicas-0": ([*_NULL, "--replicas", "1",
+                                        "--tie-break-replicas", "0"], 1),
+    "null-model-max-attempts-0": ([*_NULL, "--replicas", "1", "--max-attempts", "0"], 1),
+    "null-model-unwritable": ([*_NULL, "--replicas", "1", "-o", "{missing}/r.csv"], 2),
+    "consistency-sizes-1": ([*_CONS, "--sizes", "1", "--replicas", "1"], 1),
+    "consistency-replicas-0": ([*_CONS, "--sizes", "100", "--replicas", "0"], 1),
+    "consistency-tie-break-replicas-0": (
+        [*_CONS, "--sizes", "100", "--replicas", "1", "--tie-break-replicas", "0"], 1),
+    "consistency-malformed-joint": (
+        ["experiment", "consistency", "--joint", "{bad}", "--seed", "1",
+         "--sizes", "100", "--replicas", "1"], 2),
+    "table1-replicas-0": ([*_TAB1, "--replicas", "0"], 1),
+    "table1-unwritable": ([*_TAB1, "--replicas", "1", "-o", "{missing}/t.csv"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_codes(case, tmp_path, worked_graph):
+    """1 for usage or config errors, which stop before any output is
+    written; 2 for I/O or data errors; 3 when rcm generation runs out."""
+    argv, code = EXIT_CODES[case]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("0\t1\nbroken\n")
+    out = tmp_path / "out"
+    places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing"}
+    argv = [arg.format(**places) for arg in argv]
+    if "-o" not in argv:
+        argv += ["-o", str(out)]
+    assert run_cli(*argv) == code
+    if code == 1:
+        assert not out.exists()
