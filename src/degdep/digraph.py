@@ -9,6 +9,7 @@ immutable after construction; sampling takes a caller-owned RNG.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ __all__ = [
 ]
 
 _DEGREE_TYPES = ("out", "in")
+_MAX_ID = 2**63 - 1
+# rows formatted per write: bounds the temporaries of write_edge_list
+_WRITE_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,14 @@ class DirectedMultigraph:
             raise ValueError("source and target arrays differ in length")
         if src.size and max(int(src.max()), int(dst.max())) >= n:
             raise ValueError("node id out of range for the declared node count")
-        out_deg = np.bincount(src, minlength=n).astype(np.int64)
-        in_deg = np.bincount(dst, minlength=n).astype(np.int64)
+        try:
+            out_deg = np.bincount(src, minlength=n).astype(np.int64, copy=False)
+            in_deg = np.bincount(dst, minlength=n).astype(np.int64, copy=False)
+        except MemoryError:
+            largest = max(int(src.max(initial=-1)), int(dst.max(initial=-1)))
+            raise ValueError(
+                f"degree arrays for {n} nodes do not fit in memory (largest node id {largest})"
+            ) from None
         for attr, val in (("n", n),):
             object.__setattr__(self, attr, val)
         for attr, val in (
@@ -223,11 +233,32 @@ class DirectedMultigraph:
 def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
     """Read a graph from text: one 'src<TAB>dst' occurrence per line.
 
-    Blank lines and '#' comments are ignored; repeated lines are multi-edges.
-    Malformed lines are rejected with their line number.
+    Ids are integers as Python's int() reads them, with 0 <= id < 2**63, and
+    any whitespace separates the two.  Blank lines and '#' comments are
+    ignored; repeated lines are multi-edges.  Malformed lines are rejected
+    with their line number.
     """
-    srcs: list[int] = []
-    dsts: list[int] = []
+    # numpy's C parser reads a subset of this language (ASCII digits with an
+    # optional sign) to the same values, so a clean two-column, non-negative
+    # result is the file's graph.  Anything else, including a warning such as
+    # an empty input or an integer parsed through a float on older numpy, is
+    # decided by the line parser, which alone reports errors.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except (OSError, ValueError, ArithmeticError, Warning):
+        edges = None
+    if edges is None or edges.shape[1] != 2 or (edges.size and edges.min() < 0):
+        edges = _parse_edge_lines(path)
+    if n is None:
+        n = int(edges.max(initial=-1)) + 1
+    return DirectedMultigraph(n, edges[:, 0], edges[:, 1])
+
+
+def _parse_edge_lines(path) -> np.ndarray:
+    """Parse an edge list line by line into an (m, 2) int64 array."""
+    edges: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -242,15 +273,46 @@ def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
             if s < 0 or d < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
-            srcs.append(s)
-            dsts.append(d)
-    if n is None:
-        n = max(srcs + dsts, default=-1) + 1
-    return DirectedMultigraph(n, np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
+            if s > _MAX_ID or d > _MAX_ID:
+                raise ValueError(
+                    f"{path}:{lineno}: node id out of range (largest is 2**63 - 1) in {line!r}"
+                )
+            edges.append((s, d))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def write_edge_list(g: DirectedMultigraph, path) -> None:
     """Write the edge occurrences as 'src<TAB>dst' lines (UTF-8, LF)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, d in zip(g.src.tolist(), g.dst.tolist()):
-            fh.write(f"{s}\t{d}\n")
+    with open(path, "wb") as fh:
+        for start in range(0, g.edge_count, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            fh.write(_edge_lines(g.src[start:stop], g.dst[start:stop]))
+
+
+def _edge_lines(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The bytes of 'src<TAB>dst<LF>' for each row, as a uint8 array."""
+    src_digits, src_shown = _decimal_digits(src)
+    dst_digits, dst_shown = _decimal_digits(dst)
+    ws, wd = src_digits.shape[1], dst_digits.shape[1]
+    line = np.empty((src.size, ws + wd + 2), dtype=np.uint8)
+    keep = np.ones(line.shape, dtype=bool)
+    line[:, :ws], keep[:, :ws] = src_digits, src_shown
+    line[:, ws] = ord("\t")
+    line[:, ws + 1 : -1], keep[:, ws + 1 : -1] = dst_digits, dst_shown
+    line[:, -1] = ord("\n")
+    return line[keep]
+
+
+def _decimal_digits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of non-negative ids, right-aligned in a (k, width) uint8
+    matrix, and the mask of the digits printed (all but leading zeros)."""
+    width = len(str(int(ids.max())))
+    digits = np.empty((ids.size, width), dtype=np.uint8)
+    shown = np.empty((ids.size, width), dtype=bool)
+    for i in range(width):
+        leading = ids // 10 ** (width - 1 - i)
+        digits[:, i] = leading % 10
+        shown[:, i] = leading > 0
+    shown[:, -1] = True
+    digits += ord("0")
+    return digits, shown

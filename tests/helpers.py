@@ -83,3 +83,39 @@ def inversions_brute(arr) -> int:
         for j in range(i + 1, len(arr))
         if arr[i] > arr[j]
     )
+
+
+def read_edge_list_reference(path, n=None) -> DirectedMultigraph:
+    """The line-by-line edge-list reader that numpy parsing replaced.
+
+    Kept verbatim as the reference for `degdep.read_edge_list`: both must
+    build the same graph or raise the same error.  Ids of 2**63 and up reach
+    `np.asarray` here and raise OverflowError; the library reports them as a
+    ValueError with their line number instead.
+    """
+    srcs: list[int] = []
+    dsts: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
+            try:
+                s, d = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
+            if s < 0 or d < 0:
+                raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
+            srcs.append(s)
+            dsts.append(d)
+    if n is None:
+        n = max(srcs + dsts, default=-1) + 1
+    return DirectedMultigraph(n, np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
+
+
+def edge_lines_reference(src, dst) -> bytes:
+    """The bytes `degdep.write_edge_list` must write: one f-string line per edge."""
+    return "".join(f"{s}\t{d}\n" for s, d in zip(src.tolist(), dst.tolist())).encode("utf-8")

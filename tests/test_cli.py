@@ -266,6 +266,8 @@ EXIT_CODES = {
     "measure-unknown-measure": (["measure", "{graph}", "--measures", "tau"], 1),
     "measure-missing-graph": (["measure", "{missing}/g.tsv"], 2),
     "measure-malformed-graph": (["measure", "{bad}"], 2),
+    "measure-id-past-int64": (["measure", "{past_int64}"], 2),
+    "measure-id-too-large-for-memory": (["measure", "{sparse}"], 2),
     "null-model-replicas-0": ([*_NULL, "--replicas", "0"], 1),
     "null-model-tie-break-replicas-0": ([*_NULL, "--replicas", "1",
                                         "--tie-break-replicas", "0"], 1),
@@ -290,8 +292,13 @@ def test_exit_codes(case, tmp_path, worked_graph):
     argv, code = EXIT_CODES[case]
     bad = tmp_path / "bad.tsv"
     bad.write_text("0\t1\nbroken\n")
+    past_int64 = tmp_path / "past-int64.tsv"
+    past_int64.write_text("9223372036854775808\t1\n")
+    sparse = tmp_path / "sparse.tsv"
+    sparse.write_text("0\t1000000000000\n")
     out = tmp_path / "out"
-    places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing"}
+    places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing",
+              "past_int64": past_int64, "sparse": sparse}
     argv = [arg.format(**places) for arg in argv]
     if "-o" not in argv:
         argv += ["-o", str(out)]

@@ -1,11 +1,20 @@
 """Directed multigraph container: degrees, sampling, empirical laws, file I/O."""
 
+import re
+import warnings
+from collections import namedtuple
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degdep import DegreeTypePair, DirectedMultigraph, read_edge_list, write_edge_list
+import helpers
+from degdep import DegreeTypePair, DirectedMultigraph, digraph, read_edge_list, write_edge_list
 
-from helpers import random_multigraph
+from helpers import edge_lines_reference, random_multigraph, read_edge_list_reference
 
 OUT_IN = DegreeTypePair("out", "in")
 IN_OUT = DegreeTypePair("in", "out")
@@ -214,6 +223,173 @@ class TestEdgeListFiles:
         path.write_text("0\t1\n2\t-3\n")
         with pytest.raises(ValueError, match=":2:"):
             read_edge_list(path)
+
+    def test_id_past_int64_reports_number(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("9223372036854775808\t1\n")
+        with pytest.raises(ValueError, match=":1: node id out of range"):
+            read_edge_list(path)
+
+    def test_id_too_large_for_memory_names_it(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("0\t1000000000000\n")
+        with pytest.raises(ValueError, match="largest node id 1000000000000"):
+            read_edge_list(path)
+
+    def test_round_trip_keeps_order(self, tmp_path):
+        g = DirectedMultigraph(12, [11, 0, 3, 3, 7, 0, 11], [0, 11, 3, 2, 7, 0, 5])
+        path = tmp_path / "graph.tsv"
+        write_edge_list(g, path)
+        h = read_edge_list(path)
+        assert h.n == g.n
+        assert h.src.tolist() == g.src.tolist()
+        assert h.dst.tolist() == g.dst.tolist()
+
+
+# What the graph constructor was given.  Recording it in place of the real
+# constructor lets ids up to 2**63 - 1 be compared without allocating degree
+# arrays of that length.
+Parsed = namedtuple("Parsed", "n src dst")
+
+
+def read_outcome(reader, path):
+    """What reader(path) builds or raises; it must emit no warning."""
+    with mock.patch.object(digraph, "DirectedMultigraph", Parsed), \
+            mock.patch.object(helpers, "DirectedMultigraph", Parsed), \
+            warnings.catch_warnings(record=True) as caught:
+        # recorded, not raised: a warning raised as an error inside loadtxt
+        # would only send the file to the line parser and so go unseen
+        warnings.simplefilter("always")
+        try:
+            return reader(path)
+        except (ValueError, OverflowError) as exc:
+            return exc
+        finally:
+            assert not caught, [str(w.message) for w in caught]
+
+
+def assert_reads_like_reference(path):
+    """read_edge_list gives the line loop's (n, src, dst), or its error."""
+    got = read_outcome(read_edge_list, path)
+    want = read_outcome(read_edge_list_reference, path)
+    if isinstance(want, OverflowError):
+        # the reference fails past int64 only once the whole file is read
+        assert isinstance(got, ValueError)
+        assert re.search(r":\d+: node id out of range", str(got))
+    elif isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert isinstance(got, Parsed)
+        assert got.n == want.n
+        for ours, theirs in ((got.src, want.src), (got.dst, want.dst)):
+            assert ours.dtype == theirs.dtype == np.int64
+            assert ours.tolist() == theirs.tolist()
+
+
+READER_CASES = {
+    "one-column": "0\n1\n",
+    "three-columns": "0\t1\t2\n",
+    "ragged": "0\t1\n2\n",
+    "negative-id": "0\t1\n2\t-3\n",
+    "negative-zero": "-0\t1\n",
+    "empty": "",
+    "comments-only": "# header\n\n   # indented\n",
+    "crlf": "0\t1\r\n1\t2\r\n",
+    "cr": "0\t1\r1\t2\r",
+    "plus": "+5\t1\n",
+    "leading-zeros": "007\t0001\n",
+    "float": "1.0\t2\n",
+    "exponent": "1e3\t2\n",
+    "underscore": "1_0\t2\n",
+    "arabic-indic-digit": "\u0663\t1\n",
+    "fullwidth-digit": "\uff15\t1\n",
+    "bom": "\ufeff0\t1\n",
+    "nul": "0\t1\x00\n",
+    "vertical-tab-and-form-feed": "0\x0b1\n2\x0c3\n",
+    "unicode-spaces": "0\xa01\n2\u30003\n4\x855\n",
+    "largest-id": "9223372036854775807\t0\n",
+    "largest-id-padded": "000000000009223372036854775807\t0\n",
+    "past-int64": "0\t1\n9223372036854775808\t1\n",
+    "past-int64-negative": "-9223372036854775809\t1\n",
+    "past-uint64": "18446744073709551616\t1\n",
+    "trailing-comment": "0\t1# c\n1 2  #\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestReaderMatchesLineLoop:
+    """numpy's parse is taken only where it agrees with the line loop."""
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_named_case(self, case, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        assert_reads_like_reference(path)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_lines(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "random-lines.tsv"
+        path.write_bytes(data.draw(edge_list_texts()).encode("utf-8"))
+        assert_reads_like_reference(path)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text, mostly two ids a line.  Half the files also mix signs,
+    punctuation, CR, non-ASCII digits, a BOM and NUL into the ids.  Ids have
+    at most 5 characters, so every id stays below 2**63, past which the two
+    readers stop at different lines; named cases cover that boundary."""
+    alphabet = list("0123456789")
+    if draw(st.booleans()):
+        alphabet = alphabet * 4 + list("+-._x#\r") + ["\u0663", "\uff15", "\ufeff", "\x00"]
+    ident = st.text(st.sampled_from(alphabet), min_size=1, max_size=5)
+    space = st.text(st.sampled_from(" \t\x0b\x0c"), min_size=1, max_size=2)
+    lines = []
+    sign = st.sampled_from([""] * 20 + ["+", "-"])
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.sampled_from([2] * 20 + [0, 1, 3]))
+        line = "".join(draw(space) + draw(sign) + draw(ident) for _ in range(count))
+        lines.append(line + draw(st.sampled_from(["", " ", "#", " # 0 1"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+class TestWriterMatchesFormat:
+    # A graph with ids near 2**63 cannot hold its degree arrays, so the
+    # writer gets a stand-in carrying only the edge arrays it reads.
+    @staticmethod
+    def edges(src, dst):
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        return SimpleNamespace(src=src, dst=dst, edge_count=src.size)
+
+    def test_every_decimal_width(self, tmp_path):
+        ids = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+        src = np.array(ids, dtype=np.int64)
+        path = tmp_path / "graph.tsv"
+        for s, d in ((src, src[::-1]), (src, np.zeros_like(src)), (src[:1], src[-1:])):
+            write_edge_list(self.edges(s, d), path)
+            assert path.read_bytes() == edge_lines_reference(s, d)
+
+    def test_empty_graph(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        write_edge_list(DirectedMultigraph(3, [], []), path)
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, offset, tmp_path):
+        m = digraph._WRITE_ROWS + offset
+        rng = np.random.default_rng(offset + 5)
+        src = rng.integers(0, 1000, m)
+        dst = rng.integers(0, 1000, m)
+        # the last row is wider than the others
+        src[-1], dst[-1] = 12345, 123456
+        g = DirectedMultigraph(123457, src, dst)
+        path = tmp_path / "graph.tsv"
+        write_edge_list(g, path)
+        assert path.read_bytes() == edge_lines_reference(g.src, g.dst)
+        h = read_edge_list(path, n=g.n)
+        assert np.array_equal(h.src, g.src) and np.array_equal(h.dst, g.dst)
 
 
 class TestDegreeTypePair:
