@@ -21,27 +21,16 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import tempfile
-import time
 import tracemalloc
 
 import numpy as np
 
-import degdep
+from benchutil import best_of, source_revision
 from degdep import generate_ecm, parse_law, read_edge_list, write_edge_list
 
 LAW = "zeta:2.5"
 STAGES = ("write", "read")
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def traced_peak(fn):
@@ -51,17 +40,6 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def source_revision():
-    """`git describe` of the tree degdep was imported from, if it is a checkout."""
-    try:
-        done = subprocess.run(["git", "describe", "--always", "--dirty"],
-                              cwd=os.path.dirname(degdep.__file__),
-                              capture_output=True, text=True, timeout=30)
-    except OSError:
-        return None
-    return done.stdout.strip() or None
 
 
 def main():

@@ -16,34 +16,15 @@ import argparse
 import json
 import os
 import platform
-import subprocess
-import time
 
 import numpy as np
 
+from benchutil import best_of, source_revision
 from degdep import ALL_PAIRS, generate_ecm, parse_law
 from degdep.correlations import PairTable
 
 LAW = "zeta:2.5"
 STAGES = ("table", "kendall", "spearman_average", "pearson", "spearman_uniform_draw")
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def git_revision():
-    try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                              text=True, timeout=30)
-    except OSError:
-        return None
-    return done.stdout.strip() or None
 
 
 def main():
@@ -80,7 +61,7 @@ def main():
 
     meta = {
         "benchmark": "measures",
-        "git_revision": git_revision(),
+        "source_revision": source_revision(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -27,6 +27,8 @@ __all__ = [
 
 _DEGREE_TYPES = ("out", "in")
 _MAX_ID = 2**63 - 1
+# most nodes whose int64 degree array numpy can address at all
+_MAX_NODES = np.iinfo(np.intp).max // 8
 # rows formatted per write: bounds the temporaries of write_edge_list
 _WRITE_ROWS = 1 << 18
 
@@ -105,6 +107,8 @@ class DirectedMultigraph:
         if src.size and max(int(src.max()), int(dst.max())) >= n:
             raise ValueError("node id out of range for the declared node count")
         try:
+            if n > _MAX_NODES:
+                raise MemoryError
             out_deg = np.bincount(src, minlength=n).astype(np.int64, copy=False)
             in_deg = np.bincount(dst, minlength=n).astype(np.int64, copy=False)
         except MemoryError:
@@ -242,13 +246,16 @@ def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
     # optional sign) to the same values, so a clean two-column, non-negative
     # result is the file's graph.  Anything else, including a warning such as
     # an empty input or an integer parsed through a float on older numpy, is
-    # decided by the line parser, which alone reports errors.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
-    except (OSError, ValueError, ArithmeticError, Warning):
-        edges = None
+    # decided by the line parser, which alone reports errors.  loadtxt gets an
+    # open handle, not the path: given a path it would also read a missing
+    # file's compressed sibling, decompress '*.gz' names and fetch URLs.
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                edges = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, ArithmeticError, Warning):
+            edges = None
     if edges is None or edges.shape[1] != 2 or (edges.size and edges.min() < 0):
         edges = _parse_edge_lines(path)
     if n is None:

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from degdep.cli import main
@@ -268,6 +271,7 @@ EXIT_CODES = {
     "measure-malformed-graph": (["measure", "{bad}"], 2),
     "measure-id-past-int64": (["measure", "{past_int64}"], 2),
     "measure-id-too-large-for-memory": (["measure", "{sparse}"], 2),
+    "measure-id-past-address-space": (["measure", "{int64_max}"], 2),
     "null-model-replicas-0": ([*_NULL, "--replicas", "0"], 1),
     "null-model-tie-break-replicas-0": ([*_NULL, "--replicas", "1",
                                         "--tie-break-replicas", "0"], 1),
@@ -284,9 +288,16 @@ EXIT_CODES = {
     "table1-unwritable": ([*_TAB1, "--replicas", "1", "-o", "{missing}/t.csv"], 2),
 }
 
+# what stderr must contain, for the cases that check it
+EXIT_MESSAGES = {
+    "measure-id-past-int64": ":1: node id out of range",
+    "measure-id-too-large-for-memory": "largest node id 1000000000000",
+    "measure-id-past-address-space": "largest node id 9223372036854775807",
+}
+
 
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
-def test_exit_codes(case, tmp_path, worked_graph):
+def test_exit_codes(case, tmp_path, worked_graph, capsys):
     """1 for usage or config errors, which stop before any output is
     written; 2 for I/O or data errors; 3 when rcm generation runs out."""
     argv, code = EXIT_CODES[case]
@@ -296,12 +307,21 @@ def test_exit_codes(case, tmp_path, worked_graph):
     past_int64.write_text("9223372036854775808\t1\n")
     sparse = tmp_path / "sparse.tsv"
     sparse.write_text("0\t1000000000000\n")
+    int64_max = tmp_path / "int64-max.tsv"
+    int64_max.write_text("9223372036854775807\t0\n")
     out = tmp_path / "out"
     places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing",
-              "past_int64": past_int64, "sparse": sparse}
+              "past_int64": past_int64, "sparse": sparse, "int64_max": int64_max}
     argv = [arg.format(**places) for arg in argv]
     if "-o" not in argv:
         argv += ["-o", str(out)]
-    assert run_cli(*argv) == code
+    # 8 TB of degree arrays: a host that overcommits memory could grant them,
+    # so the refusal is made certain
+    refused = (mock.patch.object(np, "bincount", side_effect=MemoryError)
+               if case == "measure-id-too-large-for-memory" else contextlib.nullcontext())
+    with refused:
+        assert run_cli(*argv) == code
     if code == 1:
         assert not out.exists()
+    if case in EXIT_MESSAGES:
+        assert EXIT_MESSAGES[case] in capsys.readouterr().err

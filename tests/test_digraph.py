@@ -1,5 +1,6 @@
 """Directed multigraph container: degrees, sampling, empirical laws, file I/O."""
 
+import gzip
 import re
 import warnings
 from collections import namedtuple
@@ -233,7 +234,42 @@ class TestEdgeListFiles:
     def test_id_too_large_for_memory_names_it(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("0\t1000000000000\n")
-        with pytest.raises(ValueError, match="largest node id 1000000000000"):
+        # a host that overcommits memory could grant the 8 TB of degree
+        # arrays, so the refusal is made certain
+        with mock.patch.object(np, "bincount", side_effect=MemoryError), \
+                pytest.raises(ValueError, match="largest node id 1000000000000"):
+            read_edge_list(path)
+
+    def test_id_past_address_space_names_it(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("9223372036854775807\t0\n")
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
+                pytest.raises(ValueError, match="largest node id 9223372036854775807"):
+            read_edge_list(path)
+        bincount.assert_not_called()
+
+    def test_missing_file_is_not_read_from_compressed_sibling(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        with gzip.open(tmp_path / "graph.tsv.gz", "wt") as fh:
+            fh.write("0\t1\n")
+        with pytest.raises(FileNotFoundError):
+            read_edge_list(path)
+
+    def test_missing_absolute_path_is_not_read_from_cwd(self, tmp_path, monkeypatch):
+        path = tmp_path / "elsewhere" / "graph.tsv"
+        cwd = tmp_path / "cwd"
+        copy = cwd / str(path).lstrip("/")
+        copy.parent.mkdir(parents=True)
+        copy.write_text("0\t1\n")
+        monkeypatch.chdir(cwd)
+        with pytest.raises(FileNotFoundError):
+            read_edge_list(path)
+
+    def test_gz_name_is_read_as_text(self, tmp_path):
+        path = tmp_path / "graph.tsv.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("0\t1\n")
+        with pytest.raises(UnicodeDecodeError):
             read_edge_list(path)
 
     def test_round_trip_keeps_order(self, tmp_path):
