@@ -18,28 +18,17 @@ Pointing PYTHONPATH at the src directory of another checkout, with another
 """
 
 import argparse
-import json
 import os
 import platform
 import tempfile
-import tracemalloc
 
 import numpy as np
 
-from benchutil import best_of, source_revision
+from benchutil import best_of, source_revision, traced_peak, write_labelled_run
 from degdep import generate_ecm, parse_law, read_edge_list, write_edge_list
 
 LAW = "zeta:2.5"
 STAGES = ("write", "read")
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def main():
@@ -81,20 +70,7 @@ def main():
         "repeats": args.repeats,
         "rows": rows,
     }
-    runs = {}
-    if os.path.exists(args.output):
-        with open(args.output, encoding="utf-8") as fh:
-            runs = json.load(fh)["runs"]
-    runs[args.label] = entry
-    # one row per line, so that diffs of the file stay readable
-    parts = []
-    for label, run in runs.items():
-        body = ",\n      ".join(json.dumps(row) for row in run["rows"])
-        meta = {key: value for key, value in run.items() if key != "rows"}
-        parts.append(f"    {json.dumps(label)}: {json.dumps(meta)[:-1]}, "
-                     f'"rows": [\n      {body}\n    ]}}')
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{"benchmark": "io", "runs": {\n' + ",\n".join(parts) + "\n}}\n")
+    write_labelled_run(args.output, "io", args.label, entry)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Timing and provenance helpers shared by the benchmark scripts."""
 
+import json
 import os
 import subprocess
 import time
+import tracemalloc
 
 import degdep
 
@@ -27,3 +29,35 @@ def source_revision():
     except OSError:
         return None
     return done.stdout.strip() or None
+
+
+def traced_peak(fn):
+    """Peak of the allocations tracemalloc traces (numpy buffers and Python
+    objects) during one call of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def write_labelled_run(path, benchmark, label, entry):
+    """Store `entry` (a dict with a "rows" list) under `label` in the JSON
+    file at `path`, keeping the entries of other labels already in it, so
+    that two source trees can be compared in one file."""
+    runs = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            runs = json.load(fh)["runs"]
+    runs[label] = entry
+    # one row per line, so that diffs of the file stay readable
+    parts = []
+    for name, run in runs.items():
+        body = ",\n      ".join(json.dumps(row) for row in run["rows"])
+        meta = {key: value for key, value in run.items() if key != "rows"}
+        parts.append(f"    {json.dumps(name)}: {json.dumps(meta)[:-1]}, "
+                     f'"rows": [\n      {body}\n    ]}}')
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f'{{"benchmark": {json.dumps(benchmark)}, "runs": {{\n'
+                 + ",\n".join(parts) + "\n}}\n")

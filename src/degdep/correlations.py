@@ -235,7 +235,8 @@ class PairTable:
     tabulated into the dense count `grid`.  That always holds for the
     endpoint degrees of a graph: distinct degrees of distinct nodes sum to
     at most m, so K(K-1)/2 <= m on each side.  Wider raw data has no grid
-    and counts concordance by the O(m log m) merge count instead.
+    and counts concordance by a weighted merge count over its distinct
+    (x, y) cells instead, O(m log m) at worst.
 
     The table is built once per (graph, pair) and every measure is read from
     it; the four estimators need at least two data pairs.
@@ -297,17 +298,17 @@ class PairTable:
         return sum(map(operator.mul, a.tolist(), rows))
 
     def _merge_concordance(self) -> tuple[int, int]:
-        """(concordant, discordant) by sorting and merge-counting inversions.
+        """(concordant, discordant) by merge-counting weighted inversions.
 
-        Sorting by (x, then y) turns the discordant count into a strict
-        inversion count of the y sequence; the tie groups are handled by
-        exact run-length arithmetic.
+        The distinct (x, y) cells in (x, then y) order turn the discordant
+        count into the inversion count of their y sequence, each pair of
+        cells weighted by the product of their occurrence counts; the tie
+        groups are handled by exact pair-count arithmetic.
         """
-        order = np.lexsort((self.cy, self.cx))
-        xs, ys = self.cx[order], self.cy[order]
-        discordant = kernels.count_inversions(ys)
-        starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])])
-        ties_xy = _pair_count(np.diff(np.r_[starts, self.m]))
+        cells, counts = np.unique(self.cx.astype(np.int64) * self.uy.size + self.cy,
+                                  return_counts=True)
+        discordant = kernels.count_inversions(cells % self.uy.size, counts)
+        ties_xy = _pair_count(counts)
         total = self.m * (self.m - 1) // 2
         concordant = (total - _pair_count(self.wx) - _pair_count(self.wy)
                       + ties_xy - discordant)

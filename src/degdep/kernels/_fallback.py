@@ -1,39 +1,74 @@
-"""Pure-numpy inversion counting: pairs i < j with seq[i] > seq[j].
+"""Pure-numpy weighted inversion counting: the sum of w_i * w_j over pairs
+i < j with seq[i] > seq[j].
 
 The algorithm is a bottom-up merge count (Knight 1966) where every level
-merges all block pairs at once through one lexsort, so the Python-level loop
-runs O(log m) times instead of O(m).
+merges all block pairs at once through one stable sort, so the Python-level
+loop runs O(log m) times instead of O(m).
 """
 
 import numpy as np
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# 3e9^2 < 2^63, with room for the rounding of a float sum of the weights
+_INT_WEIGHT_LIMIT = 3.0e9
 
-def count_inversions(seq) -> int:
-    """Number of strict inversions in an integer sequence."""
+
+def _as_weights(weights, m: int) -> np.ndarray:
+    w = np.asarray(weights)
+    if w.shape != (m,):
+        raise ValueError("weights must match seq in length")
+    if np.issubdtype(w.dtype, np.integer):
+        # every partial sum is at most (sum |w|)^2, which must fit int64
+        if float(np.abs(w, dtype=np.float64).sum()) > _INT_WEIGHT_LIMIT:
+            raise ValueError("integer weights too large: (sum |w|)^2 exceeds int64")
+        return w.astype(np.int64, copy=False)
+    return w.astype(np.float64, copy=False)
+
+
+def count_inversions(seq, weights=None):
+    """Weighted number of strict inversions in an integer sequence.
+
+    Without weights every pair weighs 1, so the result is the plain
+    inversion count.  Integer weights give an exact Python int, float
+    weights a float.
+    """
     cur = np.ascontiguousarray(seq, dtype=np.int64)
     m = cur.size
+    w = np.ones(m, dtype=np.int64) if weights is None else _as_weights(weights, m)
+    zero = w.dtype.type(0)
     if m < 2:
-        return 0
+        return zero.item()
+    # Values are shifted to start at 0 and, when they span more than m,
+    # replaced by their dense ranks, so the per-level key pair * span + value
+    # stays below m * span <= m^2 (the order is all the count depends on).
+    lo = int(cur.min())
+    span = int(cur.max()) - lo + 1
+    if span > m:
+        uniq, cur = np.unique(cur, return_inverse=True)
+        span = uniq.size
+    else:
+        cur = cur - lo
+    if m * span > _INT64_MAX:
+        raise ValueError("sequence too long for int64 merge keys")
     pos = np.arange(m)
-    total = 0
+    total = zero.item()
     width = 1
     while width < m:
-        pair = pos // (2 * width)
-        side = (pos // width) & 1
-        # Merge every (left, right) block pair at once: sort by pair id, then
-        # value; equal values put the left block first so ties never count.
-        order = np.lexsort((side, cur, pair))
-        cur = cur[order]
-        is_left = side[order] == 0
-        pair_sorted = pair[order]
-
-        starts = np.flatnonzero(np.r_[True, pair_sorted[1:] != pair_sorted[:-1]])
-        counts = np.diff(np.r_[starts, m])
-        excl_left = np.cumsum(is_left) - is_left
-        left_before = excl_left - np.repeat(excl_left[starts], counts)
-        lefts_in_pair = np.repeat(np.add.reduceat(is_left, starts), counts)
-        # A right-block element is inverted with every strictly greater
-        # element of its left block, i.e. the left elements placed after it.
-        total += int(np.sum((lefts_in_pair - left_before)[~is_left]))
+        block = pos // (2 * width)
+        # Merge every (left, right) block pair at once.  The left block
+        # precedes the right one, so a stable sort on (block, value) puts
+        # equal values left first and ties never count.
+        order = np.argsort(block * span + cur, kind="stable")
+        cur, w = cur[order], w[order]
+        right = ((order // width) & 1).astype(bool)
+        left_w = np.where(right, zero, w)
+        left_cum = np.concatenate(([zero], np.cumsum(left_w)))
+        # A right element is inverted with every strictly greater element of
+        # its left block, i.e. the left elements placed after it in the pair.
+        block_end = np.minimum((block + 1) * (2 * width), m)
+        greater = left_cum[block_end[right]] - left_cum[1:][right]
+        # multiply and sum, not np.dot: a float dot of this length goes to a
+        # threaded BLAS, whose start-up can cost more than the whole level
+        total += np.sum(w[right] * greater).item()
         width *= 2
     return total

@@ -12,16 +12,21 @@ that underlie Spearman and Kendall correlations for integer-valued data, and
 the continuization X + U (U uniform on [0, 1)) that links the discrete and
 continuous pictures.  The population correlation values computed here are the
 limits that the graph estimators in :mod:`degdep.correlations` are tested
-against.
+against.  They are sums over the atoms of a joint law: population Kendall's
+tau is a probability-weighted merge count of the atoms (`degdep.kernels`),
+and the dense joint-cdf grid over all distinct x and y values is built only
+on the first `JointPmf.cdf` call.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from . import kernels
 
 __all__ = [
     "DegenerateLawError",
@@ -162,18 +167,16 @@ class Pmf:
 class JointPmf:
     """Joint probability mass function of an integer pair (X, Y).
 
-    Stored as parallel arrays (xs, ys, probs) sorted lexicographically, with a
-    dense cumulative grid over the distinct values of each coordinate for O(1)
-    joint-cdf lookups.  Suitable for the desk-scale supports used by the
-    population oracles and by empirical edge distributions.
+    Stored as parallel arrays (xs, ys, probs) sorted lexicographically.  The
+    first `cdf` call builds a dense cumulative grid over the distinct values
+    of each coordinate, for O(1) joint-cdf lookups after it; the population
+    functionals read the atoms alone, so their memory grows with the number
+    of atoms, not with the product of the distinct value counts.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     probs: np.ndarray
-    _ux: np.ndarray = field(init=False, repr=False, compare=False)
-    _uy: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum_grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = _as_int_array(self.xs, "xs")
@@ -187,25 +190,32 @@ class JointPmf:
             raise ValueError("probs must match the support length")
         order = np.lexsort((ys, xs))
         xs, ys, probs = xs[order], ys[order], probs[order]
-        keys = list(zip(xs.tolist(), ys.tolist()))
-        if len(set(keys)) != len(keys):
+        # sorted, so a repeated (x, y) entry sits next to its twin
+        if np.any((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])):
             raise ValueError("duplicate (x, y) entries")
-
-        ux, ix = np.unique(xs, return_inverse=True)
-        uy, iy = np.unique(ys, return_inverse=True)
-        grid = np.zeros((ux.size + 1, uy.size + 1))
-        np.add.at(grid, (ix + 1, iy + 1), probs)
-        cum = grid.cumsum(axis=0).cumsum(axis=1)
-        for attr, val in (
-            ("xs", xs),
-            ("ys", ys),
-            ("probs", probs),
-            ("_ux", ux),
-            ("_uy", uy),
-            ("_cum_grid", cum),
-        ):
+        for attr, val in (("xs", xs), ("ys", ys), ("probs", probs)):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
+
+    @cached_property
+    def _ux(self) -> np.ndarray:
+        return np.unique(self.xs)
+
+    @cached_property
+    def _uy(self) -> np.ndarray:
+        return np.unique(self.ys)
+
+    @cached_property
+    def _cum_grid(self) -> np.ndarray:
+        """H over (distinct x, distinct y) with a leading zero row and
+        column, so entry (i, j) is P(X <= ux[i-1], Y <= uy[j-1])."""
+        ix = np.searchsorted(self._ux, self.xs)
+        iy = np.searchsorted(self._uy, self.ys)
+        grid = np.zeros((self._ux.size + 1, self._uy.size + 1))
+        np.add.at(grid, (ix + 1, iy + 1), self.probs)
+        cum = grid.cumsum(axis=0).cumsum(axis=1)
+        cum.setflags(write=False)
+        return cum
 
     @classmethod
     def from_entries(cls, entries) -> "JointPmf":
@@ -303,9 +313,19 @@ def spearman_population(joint: JointPmf) -> float:
 
 
 def kendall_population(joint: JointPmf) -> float:
-    """Population Kendall's tau of an integer pair: E[sH(X, Y)] - 1."""
-    sh = joint.tie_aware_joint_cdf(joint.xs, joint.ys)
-    return float(np.dot(joint.probs, sh)) - 1.0
+    """Population Kendall's tau of an integer pair: P_C - P_D = E[sH(X, Y)] - 1.
+
+    P_C and P_D are the probabilities that two independent draws are
+    concordant and discordant.  With the atoms in (x, y) order, the
+    discordant ordered pairs are the probability-weighted inversions of the
+    y sequence, so P_D = 2 * inversions.  Every pair tied in neither
+    coordinate is one or the other, and distinct atoms never tie in both:
+    P_C + P_D = 1 - P(X = X') - P(Y = Y') + sum p^2.
+    """
+    discordant = 2.0 * kernels.count_inversions(joint.ys, joint.probs)
+    px, py, p = joint.marginal_x().probs, joint.marginal_y().probs, joint.probs
+    untied = 1.0 - float(np.sum(px * px)) - float(np.sum(py * py)) + float(np.sum(p * p))
+    return untied - 2.0 * discordant
 
 
 def s_factor(p: Pmf) -> float:

@@ -1,5 +1,7 @@
 """The numpy inversion-counting kernel against brute force."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,75 @@ class TestCountInversions:
     def test_negative_values(self, count_inversions):
         arr = np.array([3, -1, -1, 2, -5])
         assert count_inversions(arr) == inversions_brute(arr.tolist())
+
+    @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_no_weights_matches_brute_force(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        assert kernels.count_inversions(arr, weights=None) == inversions_brute(values)
+
+
+def _weighted_brute(values, weights):
+    """Sum of w_i * w_j over i < j with values[i] > values[j], in exact
+    arithmetic (Python ints, or Fractions of the float weights)."""
+    return sum(
+        weights[i] * weights[j]
+        for i in range(len(values))
+        for j in range(i + 1, len(values))
+        if values[i] > values[j]
+    )
+
+
+def _sequences_with_weights(weight):
+    return st.integers(min_value=0, max_value=40).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.one_of(st.integers(-4, 4), st.integers(-10**15, 10**15)),
+                     min_size=m, max_size=m),
+            st.lists(weight, min_size=m, max_size=m),
+        )
+    )
+
+
+class TestWeightedCountInversions:
+    @given(_sequences_with_weights(st.integers(min_value=-20, max_value=10**6)))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_weights_exact(self, case):
+        values, weights = case
+        got = kernels.count_inversions(np.array(values, dtype=np.int64),
+                                       np.array(weights, dtype=np.int64))
+        assert type(got) is int
+        assert got == _weighted_brute(values, weights)
+
+    @given(_sequences_with_weights(st.floats(min_value=0.0, max_value=1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_float_weights_near_exact_sum(self, case):
+        values, weights = case
+        got = kernels.count_inversions(np.array(values, dtype=np.int64),
+                                       np.array(weights, dtype=np.float64))
+        assert type(got) is float
+        exact = _weighted_brute(values, [Fraction(w) for w in weights])
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**12)
+
+    def test_unit_weights_equal_plain_count(self):
+        arr = np.random.default_rng(5).integers(0, 30, 3001)
+        ones = np.ones(arr.size, dtype=np.int64)
+        assert kernels.count_inversions(arr, ones) == kernels.count_inversions(arr)
+
+    def test_repeated_entries_equal_integer_weights(self):
+        # an entry of weight w counts like w adjacent copies of it
+        rng = np.random.default_rng(6)
+        values = rng.integers(-50, 50, 500)
+        weights = rng.integers(1, 6, 500)
+        assert (kernels.count_inversions(values, weights)
+                == kernels.count_inversions(np.repeat(values, weights)))
+
+    def test_rejects_mismatched_weights(self):
+        with pytest.raises(ValueError, match="weights must match"):
+            kernels.count_inversions([3, 1, 2], [1, 2])
+
+    def test_rejects_integer_weights_past_int64(self):
+        with pytest.raises(ValueError, match="too large"):
+            kernels.count_inversions([1, 0], np.array([2**31, 2**31], dtype=np.int64))
 
 
 class TestConcordanceCounts:

@@ -22,6 +22,7 @@ from degdep import (
     kendall_xy,
     pearson_xy,
     spearman_average_xy,
+    kernels,
     uniform_ranks,
 )
 from degdep.correlations import PairTable, _exact_dot, _grid_concordance
@@ -93,6 +94,27 @@ class TestConcordance:
         assert table.concordance() == (n_c, n_d)
         m = len(pairs)
         assert kendall_xy(x, y) == float(Fraction(2 * (n_c - n_d), m * (m - 1)))
+
+    def test_merge_counts_distinct_cells(self, monkeypatch):
+        # 60 distinct (x, y) cells repeated over 800 pairs: K_x * K_y = 3600
+        # exceeds 4m, so there is no grid and the kernel sees the cells
+        rng = np.random.default_rng(4)
+        cell_x = rng.permutation(60) * 10**9
+        cell_y = rng.permutation(60) - 30
+        pick = rng.integers(0, 60, 800)
+        x, y = cell_x[pick], cell_y[pick]
+        lengths = []
+        count_inversions = kernels.count_inversions
+
+        def spy(seq, weights=None):
+            lengths.append(len(seq))
+            return count_inversions(seq, weights)
+
+        monkeypatch.setattr(kernels, "count_inversions", spy)
+        table = PairTable(x, y)
+        assert table.grid is None
+        assert table.concordance() == kendall_naive(x, y)
+        assert lengths and max(lengths) <= np.unique(pick).size
 
     def test_two_pairs(self):
         assert PairTable([1, 2], [5, 4]).concordance() == (0, 1)

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from degdep import ContinuizedCdf, JointPmf, Pmf, parse_law, read_pmf, tv_distance, write_pmf
+from degdep import (
+    ContinuizedCdf,
+    JointPmf,
+    Pmf,
+    kendall_population,
+    parse_law,
+    read_pmf,
+    tv_distance,
+    write_pmf,
+)
 from degdep.pmf import read_joint_pmf
 
-from helpers import random_pmf
+from helpers import random_joint, random_pmf
 
 
 def bernoulli_half() -> Pmf:
@@ -115,6 +124,41 @@ class TestJointPmf:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             JointPmf(np.array([0, 0]), np.array([1, 1]), np.array([0.5, 0.5]))
+
+    def test_rejects_duplicates_among_many_atoms(self):
+        xs = np.repeat(np.arange(50), 3)
+        ys = np.tile([4, 7, 4], 50)
+        with pytest.raises(ValueError, match="duplicate"):
+            JointPmf(xs, ys, np.full(xs.size, 1 / xs.size))
+
+    def test_wide_joint_builds_no_grid(self):
+        # 4000 x values with 8 y offsets each: a dense grid over the distinct
+        # values would take 4001 x 4386 floats
+        rng = np.random.default_rng(8)
+        xs = np.repeat(np.arange(4000), 8)
+        shifts = rng.permuted(np.tile(np.arange(512), (4000, 1)), axis=1)
+        ys = xs + shifts[:, :8].ravel()
+        j = JointPmf(xs, ys, np.full(xs.size, 1 / xs.size))
+        assert np.unique(j.ys).size > 4000
+        assert "_cum_grid" not in vars(j)
+        kendall_population(j)
+        assert "_cum_grid" not in vars(j)
+
+    def test_cdf_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            j = random_joint(rng)
+            for k in range(-12, 13, 3):
+                for l in range(-12, 13, 3):
+                    brute = sum(float(p) for x, y, p in zip(j.xs, j.ys, j.probs)
+                                if x <= k and y <= l)
+                    assert j.cdf(k, l) == pytest.approx(brute, abs=1e-12)
+            ks = rng.integers(-12, 13, 20)
+            ls = rng.integers(-12, 13, 20)
+            brute = [sum(float(p) for x, y, p in zip(j.xs, j.ys, j.probs) if x <= k and y <= l)
+                     for k, l in zip(ks, ls)]
+            assert j.cdf(ks, ls) == pytest.approx(brute, abs=1e-12)
+            assert "_cum_grid" in vars(j)
 
     def test_sampling_deterministic(self):
         j = JointPmf.from_entries({(0, 1): 0.25, (2, 3): 0.75})

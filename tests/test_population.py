@@ -1,5 +1,7 @@
 """Exact population correlation functionals against independent brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,25 @@ class TestKendallPopulation:
         for _ in range(50):
             j = random_joint(rng)
             assert -1.0 - EXACT <= kendall_population(j) <= 1.0 + EXACT
+
+    def test_wide_joint_matches_exact_rational(self):
+        # the consistency-wide recipe at 300 x values: 8 y offsets per x,
+        # drawn from 512, and integer weights 1..16
+        rng = np.random.default_rng(26)
+        xs = np.repeat(np.arange(300), 8)
+        shifts = rng.permuted(np.tile(np.arange(512), (300, 1)), axis=1)
+        ys = xs + shifts[:, :8].ravel()
+        ws = rng.integers(1, 17, xs.size)
+        total = int(ws.sum())
+        # sum over ordered atom pairs of w_i w_j sign(x_i - x_j) sign(y_i - y_j)
+        signed = 0
+        for start in range(0, xs.size, 256):
+            sx = np.sign(xs[start:start + 256, None] - xs[None, :])
+            sy = np.sign(ys[start:start + 256, None] - ys[None, :])
+            signed += int(np.sum(ws[start:start + 256, None] * ws[None, :] * sx * sy))
+        exact = Fraction(signed, total * total)
+        joint = JointPmf(xs, ys, ws / total)
+        assert abs(Fraction(kendall_population(joint)) - exact) <= Fraction(1, 10**13)
 
 
 class TestRelabelingInvariance:
