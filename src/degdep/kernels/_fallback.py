@@ -38,9 +38,9 @@ def count_inversions(seq, weights=None):
     zero = w.dtype.type(0)
     if m < 2:
         return zero.item()
-    # Values are shifted to start at 0 and, when they span more than m,
-    # replaced by their dense ranks, so the per-level key pair * span + value
-    # stays below m * span <= m^2 (the order is all the count depends on).
+    # Only the order of the values matters: they are shifted to start at 0
+    # and, when they span more than m, replaced by their dense ranks, so the
+    # per-level sort key block * span + value stays below m * span <= m^2.
     lo = int(cur.min())
     span = int(cur.max()) - lo + 1
     if span > m:
