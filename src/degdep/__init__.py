@@ -27,16 +27,12 @@ from .correlations import (
     average_ranks,
     concordance_counts,
     full_report,
-    kendall_graph,
     kendall_from_distributions,
     kendall_naive,
     kendall_xy,
-    pearson_assortativity,
     pearson_xy,
-    spearman_average,
     spearman_average_xy,
     spearman_from_distributions,
-    spearman_uniform,
     spearman_uniform_xy,
     uniform_ranks,
 )
@@ -49,6 +45,7 @@ from .digraph import (
     write_edge_list,
 )
 from .pmf import (
+    ConfigError,
     ContinuizedCdf,
     DegenerateLawError,
     JointPmf,

@@ -1,7 +1,9 @@
 """Command-line front end: graph generation, measurement, and experiments.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or input-data error, 3 graph
-generation failure (repeated-pairing cap exhausted).
+Exit codes: 0 success, 1 usage error (argparse syntax, or a ConfigError from
+the library's argument checks, raised before any output is written), 2 I/O
+or input-data error, 3 graph generation failure (repeated-pairing cap
+exhausted).  Argument ranges and names are checked by the library only.
 
 Reproducibility contract: a fixed --seed makes `generate` byte-identical
 across runs, and makes experiment sweeps byte-identical except for the
@@ -20,13 +22,7 @@ import sys
 
 import numpy as np
 
-from .config_model import (
-    DEFAULT_MAX_ATTEMPTS,
-    GenerationError,
-    generate_cm,
-    generate_ecm,
-    generate_rcm,
-)
+from .config_model import DEFAULT_MAX_ATTEMPTS, GenerationError
 from .correlations import MEASURES, full_report
 from .digraph import read_edge_list, write_edge_list
 from .experiments import (
@@ -35,20 +31,16 @@ from .experiments import (
     PAIR_LABELS,
     ExperimentConfig,
     builtin_joint,
-    check_consistency_args,
+    generate_graph,
     run_consistency,
     run_endpoint_laws,
     run_null_model,
     write_rows_csv,
     write_summary_csv,
 )
-from .pmf import DegenerateLawError, parse_law, read_joint_pmf
+from .pmf import ConfigError, parse_law, read_joint_pmf
 
 __all__ = ["main"]
-
-
-class _UsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,33 +53,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
+    # a ValueError here is reported by argparse as an invalid value
+    return tuple(int(part) for part in text.split(","))
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_laws(out_law: str, in_law: str):
-    """Both degree laws; a law that is malformed or has negative support is
-    a usage error."""
-    try:
-        laws = parse_law(out_law), parse_law(in_law)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    for flag, law in zip(("--out-law", "--in-law"), laws):
-        if np.any(law.support < 0):
-            raise _UsageError(f"{flag} must be supported on non-negative integers")
-    return laws
-
-
-def _require_positive(**values) -> None:
-    for name, value in values.items():
-        if value < 1:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,15 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    _require_positive(n=args.n, max_attempts=args.max_attempts)
-    out_law, in_law = _parse_laws(args.out_law, args.in_law)
-    rng = np.random.default_rng(args.seed)
-    if args.model == "cm":
-        result = generate_cm(args.n, out_law, in_law, rng)
-    elif args.model == "rcm":
-        result = generate_rcm(args.n, out_law, in_law, rng, max_attempts=args.max_attempts)
-    else:
-        result = generate_ecm(args.n, out_law, in_law, rng)
+    result = generate_graph(args.model, args.n, parse_law(args.out_law),
+                            parse_law(args.in_law), np.random.default_rng(args.seed),
+                            args.max_attempts)
     write_edge_list(result.graph, args.output)
     meta = {
         "model": args.model,
@@ -209,13 +174,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    unknown_pairs = set(args.pairs) - set(PAIR_LABELS)
-    if unknown_pairs:
-        raise _UsageError(f"unknown pairs: {sorted(unknown_pairs)}")
-    unknown_measures = set(args.measures) - set(MEASURES)
-    if unknown_measures:
-        raise _UsageError(f"unknown measures: {sorted(unknown_measures)}")
-    _require_positive(tie_break_replicas=args.tie_break_replicas)
     graph = read_edge_list(args.graph)
     report = full_report(graph, seed=args.seed, tie_break_replicas=args.tie_break_replicas,
                          pairs=args.pairs, measures=args.measures)
@@ -255,22 +213,18 @@ def _resolve_joint(spec_text: str):
         return builtin_joint(spec_text)
     if os.path.exists(spec_text):
         return read_joint_pmf(spec_text)
-    raise _UsageError(
+    raise ConfigError(
         f"--joint {spec_text!r} is neither a builtin ({', '.join(BUILTIN_JOINTS)}) "
         "nor an existing file"
     )
 
 
 def _sweep_config(args, **extra) -> ExperimentConfig:
-    _parse_laws(args.out_law, args.in_law)
-    try:
-        return ExperimentConfig(
-            model=args.model, sizes=args.sizes, replicas=args.replicas,
-            out_law=args.out_law, in_law=args.in_law, seed=args.seed,
-            pairs=args.pairs, jobs=args.jobs, **extra,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return ExperimentConfig(
+        model=args.model, sizes=args.sizes, replicas=args.replicas,
+        out_law=args.out_law, in_law=args.in_law, seed=args.seed,
+        pairs=args.pairs, jobs=args.jobs, **extra,
+    )
 
 
 def _cmd_experiment(args) -> int:
@@ -286,18 +240,10 @@ def _cmd_experiment(args) -> int:
         write_summary_csv(rows, args.output + ".summary.csv")
         return 0
     if args.experiment == "consistency":
-        try:
-            check_consistency_args(args.sizes, args.replicas, args.tie_break_replicas)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        joint = _resolve_joint(args.joint)
-        try:
-            rows = run_consistency(
-                joint, sizes=args.sizes, replicas=args.replicas, seed=args.seed,
-                tie_break_replicas=args.tie_break_replicas, jobs=args.jobs,
-            )
-        except DegenerateLawError as exc:
-            raise _UsageError(f"degenerate joint: {exc}") from None
+        rows = run_consistency(
+            _resolve_joint(args.joint), sizes=args.sizes, replicas=args.replicas,
+            seed=args.seed, tie_break_replicas=args.tie_break_replicas, jobs=args.jobs,
+        )
         write_rows_csv(rows, args.output)
         return 0
     config = _sweep_config(args)
@@ -315,7 +261,7 @@ def main(argv=None) -> int:
         if args.command == "measure":
             return _cmd_measure(args)
         return _cmd_experiment(args)
-    except _UsageError as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"degdep: error: {exc}\n")
         return 1
     except GenerationError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DegreeTypePair, DirectedMultigraph
-from .pmf import Pmf, size_biased
+from .pmf import ConfigError, Pmf, require_at_least, size_biased
 
 __all__ = [
     "GenerationError",
@@ -123,7 +123,8 @@ class GenerationResult:
 
 def _require_degree_law(p: Pmf, name: str) -> None:
     if np.any(p.support < 0):
-        raise ValueError(f"{name} must be supported on non-negative integers")
+        raise ConfigError(f"{name} must be supported on non-negative integers, "
+                          f"got support from {int(p.support[0])}")
 
 
 def sample_bidegree(n: int, out_law: Pmf, in_law: Pmf, rng) -> BiDegreeRealization:
@@ -135,8 +136,7 @@ def sample_bidegree(n: int, out_law: Pmf, in_law: Pmf, rng) -> BiDegreeRealizati
     means differ by more than 5% trigger a warning (the model presumes equal
     means).  An all-zero sample is rejected.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
+    require_at_least("n", n)
     _require_degree_law(out_law, "out_law")
     _require_degree_law(in_law, "in_law")
     mean_out, mean_in = out_law.mean(), in_law.mean()
@@ -208,8 +208,7 @@ def generate_rcm(
     when no simple pairing appears within `max_attempts`, which is the
     expected outcome for infinite-variance laws at large n.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    require_at_least("max_attempts", max_attempts)
     rng = np.random.default_rng(rng)
     b = sample_bidegree(n, out_law, in_law, rng)
     src, tgt = _stub_endpoints(b)

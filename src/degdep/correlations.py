@@ -29,6 +29,7 @@ import numpy as np
 
 from . import kernels
 from .digraph import ALL_PAIRS, DegreeTypePair, DirectedMultigraph
+from .pmf import ConfigError, require_at_least, require_known
 from .seeding import child_seed
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
     "spearman_average_xy",
     "kendall_xy",
     "pearson_xy",
-    "spearman_uniform",
-    "spearman_average",
-    "kendall_graph",
-    "pearson_assortativity",
     "spearman_from_distributions",
     "kendall_from_distributions",
     "PairMeasures",
@@ -261,7 +258,8 @@ class PairTable:
     @classmethod
     def of_graph(cls, g: DirectedMultigraph, pair: DegreeTypePair) -> "PairTable":
         """The table of a graph's endpoint degrees over its edge occurrences."""
-        return cls(*_view_arrays(g, pair))
+        view = g.edge_degree_view(pair)
+        return cls(view.source_degrees, view.target_degrees)
 
     @property
     def degenerate_source(self) -> bool:
@@ -400,7 +398,7 @@ def measure_table(
         return table.kendall()
     if measure == "pearson":
         return table.pearson()
-    raise ValueError(f"unknown measure {measure!r}; known: {MEASURES}")
+    raise ConfigError(f"unknown measure {measure!r}; known: {MEASURES}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,33 +469,8 @@ def pearson_xy(x, y) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Estimators on graphs
+# Distribution forms on graphs
 # ---------------------------------------------------------------------------
-
-
-def _view_arrays(g: DirectedMultigraph, pair: DegreeTypePair) -> tuple[np.ndarray, np.ndarray]:
-    view = g.edge_degree_view(pair)
-    return view.source_degrees, view.target_degrees
-
-
-def spearman_uniform(g: DirectedMultigraph, pair: DegreeTypePair, rng) -> float:
-    """Uniform-rank Spearman's rho of the endpoint degrees; one tie-break draw."""
-    return PairTable.of_graph(g, pair).spearman_uniform(rng)
-
-
-def spearman_average(g: DirectedMultigraph, pair: DegreeTypePair) -> float | None:
-    """Average-rank Spearman's rho; None when a side's degrees are constant."""
-    return PairTable.of_graph(g, pair).spearman_average()
-
-
-def kendall_graph(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
-    """Kendall's tau-a of the endpoint degrees over edge occurrences."""
-    return PairTable.of_graph(g, pair).kendall()
-
-
-def pearson_assortativity(g: DirectedMultigraph, pair: DegreeTypePair) -> float | None:
-    """Pearson correlation of the endpoint degrees; None on a constant side."""
-    return PairTable.of_graph(g, pair).pearson()
 
 
 def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
@@ -608,15 +581,14 @@ def full_report(
     seed, replicas) inputs give an identical report, and a pair's values do
     not depend on which other pairs or measures are asked for.  Degenerate
     sides are flagged and yield None for the average-rank and Pearson
-    entries instead of an error.
+    entries instead of an error.  The arguments are checked (ConfigError)
+    before the graph's edge count (ValueError below 2).
     """
+    require_at_least("tie_break_replicas", tie_break_replicas)
+    pairs = require_known("pairs", pairs, [p.label for p in ALL_PAIRS])
+    measures = require_known("measures", measures, MEASURES)
     if g.edge_count < 2:
         raise ValueError("full report requires at least 2 edge occurrences")
-    if tie_break_replicas < 1:
-        raise ValueError("tie_break_replicas must be >= 1")
-    unknown = (set(pairs) - {p.label for p in ALL_PAIRS}) | (set(measures) - set(MEASURES))
-    if unknown:
-        raise ValueError(f"unknown pairs or measures: {sorted(unknown)}")
     report: dict[str, PairMeasures] = {}
     for pair_index, pair in enumerate(ALL_PAIRS):
         if pair.label not in pairs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import JointPmf, Pmf
+from .pmf import ConfigError, JointPmf, Pmf
 
 __all__ = [
     "DegreeTypePair",
@@ -47,7 +47,7 @@ class DegreeTypePair:
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if value not in _DEGREE_TYPES:
-                raise ValueError(f"{name} must be 'out' or 'in', got {value!r}")
+                raise ConfigError(f"{name} must be 'out' or 'in', got {value!r}")
 
     @property
     def label(self) -> str:
@@ -57,7 +57,7 @@ class DegreeTypePair:
     def from_label(cls, label: str) -> "DegreeTypePair":
         alpha, sep, beta = label.partition("-")
         if not sep:
-            raise ValueError(f"pair label must look like 'out-in', got {label!r}")
+            raise ConfigError(f"pair label must look like 'out-in', got {label!r}")
         return cls(alpha, beta)
 
 

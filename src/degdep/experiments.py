@@ -32,6 +32,8 @@ import numpy as np
 from .config_model import (
     DEFAULT_MAX_ATTEMPTS,
     GenerationError,
+    GenerationResult,
+    _require_degree_law,
     endpoint_degree_laws,
     generate_cm,
     generate_ecm,
@@ -51,10 +53,13 @@ from .correlations import (
 )
 from .digraph import ALL_PAIRS, DegreeTypePair
 from .pmf import (
+    ConfigError,
     JointPmf,
     Pmf,
     kendall_population,
     parse_law,
+    require_at_least,
+    require_known,
     spearman_average_limit,
     spearman_population,
     tv_distance,
@@ -66,9 +71,9 @@ __all__ = [
     "ExperimentRow",
     "ConsistencyRow",
     "EndpointLawRow",
+    "generate_graph",
     "run_null_model",
     "run_consistency",
-    "check_consistency_args",
     "run_endpoint_laws",
     "write_rows_csv",
     "read_rows_csv",
@@ -102,30 +107,31 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        """Check every field (ConfigError), so a bad config fails before
+        any graph is generated."""
         if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("sizes must be positive")
+            raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
+        sizes = _require_sizes(self.sizes, 1)
         if list(sizes) != sorted(sizes):
-            raise ValueError("sizes must be ascending")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.tie_break_replicas < 1:
-            raise ValueError("tie_break_replicas must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        for label in self.pairs:
-            DegreeTypePair.from_label(label)
-        unknown = set(self.measures) - set(MEASURES)
-        if unknown:
-            raise ValueError(f"unknown measures: {sorted(unknown)}")
+            raise ConfigError(f"sizes must be ascending, got {sizes}")
+        require_at_least("replicas", self.replicas)
+        require_at_least("tie_break_replicas", self.tie_break_replicas)
+        require_at_least("max_attempts", self.max_attempts)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "pairs", require_known("pairs", self.pairs, PAIR_LABELS))
+        object.__setattr__(self, "measures", require_known("measures", self.measures, MEASURES))
+        for name, law in zip(("out_law", "in_law"), self.laws()):
+            _require_degree_law(law, name)
 
     def laws(self) -> tuple[Pmf, Pmf]:
         return parse_law(self.out_law), parse_law(self.in_law)
+
+
+def _require_sizes(sizes, least: int) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in sizes)
+    if not sizes or min(sizes) < least:
+        raise ConfigError(f"sizes must all be >= {least}, got {sizes}")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -293,14 +299,28 @@ def _row_sort_key(row):
     return tuple(key)
 
 
-def _generate(config: ExperimentConfig, n: int, gen_seed: int):
-    out_law, in_law = config.laws()
-    rng = np.random.default_rng(gen_seed)
-    if config.model == "cm":
+def generate_graph(
+    model: str,
+    n: int,
+    out_law: Pmf,
+    in_law: Pmf,
+    rng,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> GenerationResult:
+    """One graph of the named configuration model; `max_attempts` is used
+    by rcm only."""
+    if model == "cm":
         return generate_cm(n, out_law, in_law, rng)
-    if config.model == "rcm":
-        return generate_rcm(n, out_law, in_law, rng, max_attempts=config.max_attempts)
-    return generate_ecm(n, out_law, in_law, rng)
+    if model == "rcm":
+        return generate_rcm(n, out_law, in_law, rng, max_attempts=max_attempts)
+    if model == "ecm":
+        return generate_ecm(n, out_law, in_law, rng)
+    raise ConfigError(f"model must be one of {_MODELS}, got {model!r}")
+
+
+def _generate(config: ExperimentConfig, n: int, gen_seed: int) -> GenerationResult:
+    return generate_graph(config.model, n, *config.laws(), np.random.default_rng(gen_seed),
+                          config.max_attempts)
 
 
 def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -372,20 +392,7 @@ def builtin_joint(name: str) -> JointPmf:
         return JointPmf.from_entries(
             {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
         )
-    raise ValueError(f"unknown builtin joint {name!r}; known: {BUILTIN_JOINTS}")
-
-
-def check_consistency_args(sizes, replicas: int, tie_break_replicas: int) -> tuple[int, ...]:
-    """The validated sample sizes of a consistency sweep; ValueError on a
-    size below 2 or a replica count below 1."""
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 2 for s in sizes):
-        raise ValueError("sizes must all be >= 2")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if tie_break_replicas < 1:
-        raise ValueError("tie_break_replicas must be >= 1")
-    return sizes
+    raise ConfigError(f"unknown builtin joint {name!r}; known: {BUILTIN_JOINTS}")
 
 
 def run_consistency(
@@ -398,12 +405,15 @@ def run_consistency(
 ) -> list[ConsistencyRow]:
     """Sample iid pairs from `joint` and compare estimators with exact targets.
 
-    Rejects joints with a point-mass marginal (every target is then
+    Rejects (ConfigError) a size below 2, a replica or tie-break count below
+    1, and joints with a point-mass marginal (every target is then
     degenerate).  Targets: the population Spearman rho for uniform-rank
     ranks, its S-factor-rescaled version for average ranks, and the
     population Kendall tau.
     """
-    sizes = check_consistency_args(sizes, replicas, tie_break_replicas)
+    sizes = _require_sizes(sizes, 2)
+    require_at_least("replicas", replicas)
+    require_at_least("tie_break_replicas", tie_break_replicas)
     targets = {
         "spearman_uniform": spearman_population(joint),
         "spearman_average": spearman_average_limit(joint),
@@ -452,11 +462,16 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
     """TV distance of multigraph endpoint-degree marginals to their limits.
 
     Only meaningful for the plain multigraph model (cm), whose endpoint laws
-    are the tabulated plain/size-biased laws.
+    are the tabulated plain/size-biased laws.  Those limits are computed
+    before any graph, so a law that cannot be size-biased fails first.
     """
     if config.model != "cm":
-        raise ValueError("endpoint-law experiment requires model='cm'")
+        raise ConfigError(f"endpoint-law experiment requires model='cm', got {config.model!r}")
     out_law, in_law = config.laws()
+    limits = {
+        label: endpoint_degree_laws(DegreeTypePair.from_label(label), out_law, in_law)
+        for label in config.pairs
+    }
 
     def worker(cell):
         size_index, replica = cell
@@ -466,8 +481,8 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
         rows = []
         for label in config.pairs:
             pair = DegreeTypePair.from_label(label)
+            source_law, target_law = limits[label]
             t0 = time.perf_counter()
-            source_law, target_law = endpoint_degree_laws(pair, out_law, in_law)
             tv_source = tv_distance(
                 result.graph.empirical_marginal("source", pair.alpha), source_law
             )

@@ -1,5 +1,11 @@
-"""Pure-numpy weighted inversion counting: the sum of w_i * w_j over pairs
-i < j with seq[i] > seq[j].
+"""Weighted inversion counting for merge counts of concordant pairs (pure numpy).
+
+`count_inversions(seq, weights=None)` sums w_i * w_j over the inverted pairs
+i < j with seq[i] > seq[j] (every weight 1 when none are given).  It has two
+callers, each counting over distinct atoms or cells rather than occurrences:
+`degdep.correlations.PairTable` for raw pair data too wide for a dense count
+table (integer cell counts, exact), and `degdep.pmf.kendall_population`
+(atom probabilities).  Both look it up here at call time.
 
 The algorithm is a bottom-up merge count (Knight 1966) where every level
 merges all block pairs at once through one stable sort, so the Python-level
@@ -11,6 +17,9 @@ import numpy as np
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # 3e9^2 < 2^63, with room for the rounding of a float sum of the weights
 _INT_WEIGHT_LIMIT = 3.0e9
+
+# name of the implementation in use, for run reports; there is one
+BACKEND = "python"
 
 
 def _as_weights(weights, m: int) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 from . import kernels
 
 __all__ = [
+    "ConfigError",
     "DegenerateLawError",
     "Pmf",
     "JointPmf",
@@ -60,8 +61,35 @@ DEFAULT_ZETA_KMAX = 1_000_000
 _ZETA_KMAX_ENV = "DEGDEP_ZETA_KMAX"
 
 
-class DegenerateLawError(ValueError):
+class ConfigError(ValueError):
+    """A value the caller supplied is out of range, unknown or malformed.
+
+    Raised by every library check on an argument; malformed data read from a
+    file raises a plain ValueError instead.  The command line maps it to
+    exit code 1.
+    """
+
+
+class DegenerateLawError(ConfigError):
     """An operation required a marginal that is not a single point mass."""
+
+
+def require_at_least(name: str, value: int, least: int = 1) -> None:
+    """ConfigError unless value >= least."""
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def require_known(name: str, given, known) -> tuple:
+    """The given labels as a tuple; ConfigError when there are none or one
+    is not among `known`."""
+    given = tuple(given)
+    if not given:
+        raise ConfigError(f"{name} must name at least one of {', '.join(known)}, got none")
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {name}: {unknown}; known: {', '.join(known)}")
+    return given
 
 
 def _as_int_array(values, name: str) -> np.ndarray:
@@ -422,7 +450,7 @@ def size_biased(p: Pmf) -> Pmf:
     if mean <= 0.0:
         raise DegenerateLawError("size-biasing requires a positive mean")
     if np.any(p.support < 0):
-        raise ValueError("size-biasing requires non-negative support")
+        raise ConfigError("size-biasing requires non-negative support")
     mask = p.support > 0
     return Pmf(p.support[mask], p.support[mask] * p.probs[mask] / mean)
 
@@ -462,11 +490,11 @@ def parse_law(text: str, *, zeta_kmax: int | None = None) -> Pmf:
     name, sep, arg = text.partition(":")
     name = name.strip().lower()
     if not sep:
-        raise ValueError(f"law {text!r} must look like 'name:params'")
+        raise ConfigError(f"law {text!r} must look like 'name:params'")
     try:
         return _build_law(name, arg.strip(), _zeta_kmax(zeta_kmax) if name == "zeta" else 0)
     except ValueError as exc:
-        raise ValueError(f"invalid law {text!r}: {exc}") from None
+        raise ConfigError(f"invalid law {text!r}: {exc}") from None
 
 
 @lru_cache(maxsize=8)

@@ -267,6 +267,9 @@ EXIT_CODES = {
          "-o", "{missing}/g.tsv"], 2),
     "measure-tie-break-replicas-0": (["measure", "{graph}", "--tie-break-replicas", "0"], 1),
     "measure-unknown-measure": (["measure", "{graph}", "--measures", "tau"], 1),
+    "measure-empty-pairs": (["measure", "{graph}", "--pairs", ","], 1),
+    # the graph is read before the flags are checked
+    "measure-bad-flag-missing-graph": (["measure", "{missing}/g.tsv", "--measures", "tau"], 2),
     "measure-missing-graph": (["measure", "{missing}/g.tsv"], 2),
     "measure-malformed-graph": (["measure", "{bad}"], 2),
     "measure-id-past-int64": (["measure", "{past_int64}"], 2),
@@ -276,15 +279,34 @@ EXIT_CODES = {
     "null-model-tie-break-replicas-0": ([*_NULL, "--replicas", "1",
                                         "--tie-break-replicas", "0"], 1),
     "null-model-max-attempts-0": ([*_NULL, "--replicas", "1", "--max-attempts", "0"], 1),
+    "null-model-empty-pairs": ([*_NULL, "--replicas", "1", "--pairs", ","], 1),
+    "null-model-empty-measures": ([*_NULL, "--replicas", "1", "--measures", ","], 1),
+    "null-model-unknown-measure": ([*_NULL, "--replicas", "1", "--measures", "tau"], 1),
+    "null-model-bad-law": (
+        ["experiment", "null-model", "--model", "cm", "--sizes", "50", "--replicas", "1",
+         "--out-law", "cauchy:1", "--in-law", "poisson:2", "--seed", "1"], 1),
+    "null-model-negative-support": (
+        ["experiment", "null-model", "--model", "cm", "--sizes", "50", "--replicas", "1",
+         "--out-law", "poisson:2", "--in-law", "uniform:-2..3", "--seed", "1"], 1),
     "null-model-unwritable": ([*_NULL, "--replicas", "1", "-o", "{missing}/r.csv"], 2),
     "consistency-sizes-1": ([*_CONS, "--sizes", "1", "--replicas", "1"], 1),
     "consistency-replicas-0": ([*_CONS, "--sizes", "100", "--replicas", "0"], 1),
     "consistency-tie-break-replicas-0": (
         [*_CONS, "--sizes", "100", "--replicas", "1", "--tie-break-replicas", "0"], 1),
+    "consistency-degenerate-joint": (
+        ["experiment", "consistency", "--joint", "{constant_x}", "--seed", "1",
+         "--sizes", "100", "--replicas", "1"], 1),
     "consistency-malformed-joint": (
         ["experiment", "consistency", "--joint", "{bad}", "--seed", "1",
          "--sizes", "100", "--replicas", "1"], 2),
     "table1-replicas-0": ([*_TAB1, "--replicas", "0"], 1),
+    "table1-bad-law": (
+        ["experiment", "table1", "--sizes", "50", "--replicas", "1",
+         "--out-law", "cauchy:1", "--in-law", "poisson:2", "--seed", "1"], 1),
+    # size-biasing a law of mean 0 fails before any graph is generated
+    "table1-zero-law": (
+        ["experiment", "table1", "--sizes", "50", "--replicas", "1",
+         "--out-law", "uniform:0..0", "--in-law", "poisson:2", "--seed", "1"], 1),
     "table1-unwritable": ([*_TAB1, "--replicas", "1", "-o", "{missing}/t.csv"], 2),
 }
 
@@ -309,9 +331,12 @@ def test_exit_codes(case, tmp_path, worked_graph, capsys):
     sparse.write_text("0\t1000000000000\n")
     int64_max = tmp_path / "int64-max.tsv"
     int64_max.write_text("9223372036854775807\t0\n")
+    constant_x = tmp_path / "constant-x.tsv"
+    constant_x.write_text("0\t0\t0.5\n0\t1\t0.5\n")
     out = tmp_path / "out"
     places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing",
-              "past_int64": past_int64, "sparse": sparse, "int64_max": int64_max}
+              "past_int64": past_int64, "sparse": sparse, "int64_max": int64_max,
+              "constant_x": constant_x}
     argv = [arg.format(**places) for arg in argv]
     if "-o" not in argv:
         argv += ["-o", str(out)]

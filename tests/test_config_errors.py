@@ -1,0 +1,128 @@
+"""Argument checks: every library check on a caller-supplied value raises
+ConfigError (a ValueError), while bad data read from a file stays a plain
+ValueError."""
+
+import numpy as np
+import pytest
+
+from degdep import (
+    ConfigError,
+    DegreeTypePair,
+    DirectedMultigraph,
+    JointPmf,
+    Pmf,
+    full_report,
+    generate_rcm,
+    parse_law,
+    sample_bidegree,
+    size_biased,
+)
+from degdep.correlations import PairTable, measure_table
+from degdep.experiments import (
+    ExperimentConfig,
+    builtin_joint,
+    generate_graph,
+    run_consistency,
+    run_endpoint_laws,
+)
+from degdep.pmf import read_joint_pmf
+
+POISSON = parse_law("poisson:2")
+CONSTANT_X = JointPmf.from_entries({(0, 0): 0.5, (0, 1): 0.5})
+GRAPH = DirectedMultigraph.from_edge_list([(0, 1), (0, 2), (1, 2)])
+
+
+def config(**overrides) -> ExperimentConfig:
+    base = dict(model="cm", sizes=(10,), replicas=1, out_law="poisson:2",
+                in_law="poisson:2", seed=0)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def consistency(**overrides):
+    base = dict(joint=builtin_joint("bernoulli-equal"), sizes=(10,), replicas=1, seed=0)
+    base.update(overrides)
+    return run_consistency(**base)
+
+
+# each call and a pattern its message must match
+CHECKS = {
+    "parse_law-unknown": (lambda: parse_law("cauchy:1"), "invalid law 'cauchy:1'"),
+    "parse_law-no-params": (lambda: parse_law("poisson"), "'poisson' must look like"),
+    "degree-law-negative-support": (
+        lambda: sample_bidegree(10, parse_law("uniform:-2..3"), POISSON, 0),
+        "out_law must be supported on non-negative integers, got support from -2"),
+    "sample_bidegree-n": (lambda: sample_bidegree(0, POISSON, POISSON, 0),
+                          "n must be >= 1, got 0"),
+    "generate_rcm-max_attempts": (
+        lambda: generate_rcm(10, POISSON, POISSON, 0, max_attempts=0),
+        "max_attempts must be >= 1, got 0"),
+    "generate_graph-model": (lambda: generate_graph("erdos", 10, POISSON, POISSON, 0),
+                             "model must be one of"),
+    "size_biased-negative-support": (
+        lambda: size_biased(Pmf(np.array([-1, 3]), np.array([0.5, 0.5]))),
+        "non-negative support"),
+    "size_biased-zero-mean": (lambda: size_biased(parse_law("uniform:0..0")),
+                              "positive mean"),
+    "pair-label-shape": (lambda: DegreeTypePair.from_label("outin"), "'outin'"),
+    "pair-label-type": (lambda: DegreeTypePair.from_label("up-in"),
+                        "alpha must be 'out' or 'in', got 'up'"),
+    "config-model": (lambda: config(model="erdos"), "model must be one of"),
+    "config-sizes": (lambda: config(sizes=(0, 5)), r"sizes must all be >= 1, got \(0, 5\)"),
+    "config-descending": (lambda: config(sizes=(5, 1)), "ascending"),
+    "config-replicas": (lambda: config(replicas=0), "replicas must be >= 1, got 0"),
+    "config-tie-break": (lambda: config(tie_break_replicas=0),
+                         "tie_break_replicas must be >= 1, got 0"),
+    "config-max-attempts": (lambda: config(max_attempts=0), "max_attempts must be >= 1, got 0"),
+    "config-empty-pairs": (lambda: config(pairs=()), "pairs must name at least one"),
+    "config-unknown-pair": (lambda: config(pairs=("up-down",)), r"unknown pairs: \['up-down'\]"),
+    "config-empty-measures": (lambda: config(measures=()), "measures must name at least one"),
+    "config-unknown-measure": (lambda: config(measures=("tau",)), r"unknown measures: \['tau'\]"),
+    "config-bad-law": (lambda: config(in_law="cauchy:1"), "invalid law 'cauchy:1'"),
+    "config-negative-support": (lambda: config(in_law="uniform:-1..1"),
+                                "in_law must be supported on non-negative integers"),
+    "consistency-sizes": (lambda: consistency(sizes=(1,)), r"sizes must all be >= 2, got \(1,\)"),
+    "consistency-replicas": (lambda: consistency(replicas=0), "replicas must be >= 1, got 0"),
+    "consistency-tie-break": (lambda: consistency(tie_break_replicas=0),
+                              "tie_break_replicas must be >= 1, got 0"),
+    "consistency-degenerate-joint": (lambda: consistency(joint=CONSTANT_X), "point mass"),
+    "endpoint-laws-model": (lambda: run_endpoint_laws(config(model="ecm")),
+                            "requires model='cm', got 'ecm'"),
+    "endpoint-laws-zero-law": (lambda: run_endpoint_laws(config(out_law="uniform:0..0")),
+                               "positive mean"),
+    "builtin_joint": (lambda: builtin_joint("cauchy"), "unknown builtin joint 'cauchy'"),
+    "measure_table": (lambda: measure_table(PairTable([1, 2], [2, 1]), "tau", (0,), 1),
+                      "unknown measure 'tau'"),
+    "full_report-tie-break": (lambda: full_report(GRAPH, 0, tie_break_replicas=0),
+                              "tie_break_replicas must be >= 1, got 0"),
+    "full_report-empty-pairs": (lambda: full_report(GRAPH, 0, pairs=()),
+                                "pairs must name at least one"),
+    "full_report-unknown-pair": (lambda: full_report(GRAPH, 0, pairs=("up-down",)),
+                                 r"unknown pairs: \['up-down'\]"),
+    "full_report-empty-measures": (lambda: full_report(GRAPH, 0, measures=()),
+                                   "measures must name at least one"),
+    "full_report-unknown-measure": (lambda: full_report(GRAPH, 0, measures=("tau",)),
+                                    r"unknown measures: \['tau'\]"),
+    # argument checks come before the edge-count check
+    "full_report-before-edge-count": (
+        lambda: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0, measures=()),
+        "measures must name at least one"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKS))
+def test_argument_check_raises_config_error(case):
+    call, pattern = CHECKS[case]
+    with pytest.raises(ConfigError, match=pattern) as excinfo:
+        call()
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_data_errors_stay_plain_value_errors(tmp_path):
+    bad = tmp_path / "joint.tsv"
+    bad.write_text("0\t0\tnot-a-number\n")
+    for call in (lambda: read_joint_pmf(bad),
+                 lambda: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert not isinstance(excinfo.value, ConfigError)

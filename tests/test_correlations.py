@@ -15,20 +15,16 @@ from degdep import (
     concordance_counts,
     full_report,
     kendall_from_distributions,
-    kendall_graph,
     kendall_population,
     kendall_xy,
-    pearson_assortativity,
     pearson_xy,
-    spearman_average,
     spearman_average_xy,
     spearman_from_distributions,
     spearman_population,
-    spearman_uniform,
     spearman_uniform_xy,
     uniform_ranks,
 )
-from degdep.correlations import _average_ranks_doubled, _empirical_tie_aware_int
+from degdep.correlations import PairTable, _average_ranks_doubled, _empirical_tie_aware_int
 
 from helpers import random_multigraph
 
@@ -166,7 +162,8 @@ class TestSpearmanUniform:
 
     def test_three_cycle_mean_near_zero(self):
         g = three_cycle()
-        vals = [spearman_uniform(g, OUT_IN, seed) for seed in range(10_000)]
+        table = PairTable.of_graph(g, OUT_IN)
+        vals = [table.spearman_uniform(seed) for seed in range(10_000)]
         assert np.mean(vals) == pytest.approx(0.0, abs=0.02)
 
     def test_mean_matches_average_rank_products(self):
@@ -181,7 +178,8 @@ class TestSpearmanUniform:
             m**3 - m
         )
         assert expected == pytest.approx(-0.375, abs=EXACT)
-        vals = [spearman_uniform(g, OUT_IN, seed) for seed in range(20_000)]
+        table = PairTable.of_graph(g, OUT_IN)
+        vals = [table.spearman_uniform(seed) for seed in range(20_000)]
         assert np.mean(vals) == pytest.approx(expected, abs=0.02)
         # and the mean agrees with the tie-aware cdf form up to O(1/m)
         assert abs(np.mean(vals) - spearman_from_distributions(g, OUT_IN)) <= 1.0 / m
@@ -189,22 +187,22 @@ class TestSpearmanUniform:
     def test_requires_two_edges(self):
         g = DirectedMultigraph.from_edge_list([(0, 1)])
         with pytest.raises(ValueError, match="at least 2"):
-            spearman_uniform(g, OUT_IN, 0)
+            PairTable.of_graph(g, OUT_IN).spearman_uniform(0)
 
     def test_bounded_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for seed in range(30):
             g = random_multigraph(rng)
-            v = spearman_uniform(g, OUT_IN, seed)
+            v = PairTable.of_graph(g, OUT_IN).spearman_uniform(seed)
             assert -1.0 <= v <= 1.0
 
 
 class TestSpearmanAverage:
     def test_worked_example(self):
-        assert spearman_average(three_edge_graph(), OUT_IN) == -0.5
+        assert PairTable.of_graph(three_edge_graph(), OUT_IN).spearman_average() == -0.5
 
     def test_three_cycle_undefined(self):
-        assert spearman_average(three_cycle(), OUT_IN) is None
+        assert PairTable.of_graph(three_cycle(), OUT_IN).spearman_average() is None
 
     def test_perfectly_concordant_distinct(self):
         x = [4, 1, 3, 2]
@@ -213,23 +211,25 @@ class TestSpearmanAverage:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         g = random_multigraph(rng)
-        assert spearman_average(g, OUT_IN) == spearman_average(g, OUT_IN)
+        assert (PairTable.of_graph(g, OUT_IN).spearman_average()
+                == PairTable.of_graph(g, OUT_IN).spearman_average())
 
     def test_bounded(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
             g = random_multigraph(rng)
-            v = spearman_average(g, OUT_IN)
+            v = PairTable.of_graph(g, OUT_IN).spearman_average()
             if v is not None:
                 assert -1.0 <= v <= 1.0
 
 
 class TestKendall:
     def test_worked_example(self):
-        assert kendall_graph(three_edge_graph(), OUT_IN) == pytest.approx(-1 / 3, abs=0)
+        value = PairTable.of_graph(three_edge_graph(), OUT_IN).kendall()
+        assert value == pytest.approx(-1 / 3, abs=0)
 
     def test_three_cycle_zero(self):
-        assert kendall_graph(three_cycle(), OUT_IN) == 0.0
+        assert PairTable.of_graph(three_cycle(), OUT_IN).kendall() == 0.0
 
     def test_perfectly_concordant(self):
         assert kendall_xy([1, 2, 3, 4], [2, 3, 5, 9]) == 1.0
@@ -251,7 +251,8 @@ class TestKendall:
         rng = np.random.default_rng(11)
         for _ in range(40):
             g = random_multigraph(rng)
-            gap = abs(kendall_graph(g, OUT_IN) - kendall_from_distributions(g, OUT_IN))
+            tau = PairTable.of_graph(g, OUT_IN).kendall()
+            gap = abs(tau - kendall_from_distributions(g, OUT_IN))
             assert gap <= 2 / g.edge_count
 
 
@@ -259,10 +260,10 @@ class TestPearson:
     def test_worked_example_exact(self):
         # exact rational value of the sample correlation on this graph; the
         # covariance is -1/9 and both variances 2/9, giving exactly -1/2
-        assert pearson_assortativity(three_edge_graph(), OUT_IN) == -0.5
+        assert PairTable.of_graph(three_edge_graph(), OUT_IN).pearson() == -0.5
 
     def test_three_cycle_undefined(self):
-        assert pearson_assortativity(three_cycle(), OUT_IN) is None
+        assert PairTable.of_graph(three_cycle(), OUT_IN).pearson() is None
 
     def test_perfectly_linear(self):
         assert pearson_xy([1, 2, 3], [10, 20, 30]) == 1.0
