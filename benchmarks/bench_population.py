@@ -7,11 +7,11 @@ shifts s drawn from 0..511, and integer weights 1..16, written as a joint
 pmf text file.  It times read_joint_pmf on that file, each population value
 (spearman_population, spearman_average_limit, kendall_population) of the
 joint read once, and Kendall's tau of 25*W pairs sampled from the law, with
-the PairTable build (that data has no dense count table), each the best of
---repeats runs.  It runs each call once more under tracemalloc to record its
-peak of traced allocations.  It prints one line per width and stores the rows under --label
-in a JSON file, keeping the rows of other labels already in it.  From the
-root of a source checkout:
+the PairTable build, each the best of --repeats runs.  It runs each call
+once more under tracemalloc to record its peak of traced allocations.  It
+prints one line per width and stores the rows under --label in a JSON file,
+keeping the rows of other labels already in it.  From the root of a source
+checkout:
 
     PYTHONPATH=src python benchmarks/bench_population.py [--widths 400,4000] \\
         [--repeats 3] [--seed 7] [--label change] [-o BENCH_population.json]
@@ -88,13 +88,11 @@ def main():
             }
             seconds = {stage: best_of(args.repeats, calls[stage]) for stage in STAGES}
             peak = {stage: traced_peak(calls[stage]) for stage in STAGES}
-            table = PairTable(x, y)
-            cells = int(np.unique(table.cx.astype(np.int64) * table.uy.size + table.cy).size)
+            cells = int(PairTable(x, y).cell_counts.size)
             row = {"width": width, "atoms": int(joint.xs.size),
                    "distinct_x": int(np.unique(joint.xs).size),
                    "distinct_y": int(np.unique(joint.ys).size),
                    "pairs": int(x.size), "cells": cells,
-                   "kendall_path": "merge" if table.grid is None else "grid",
                    "seconds": seconds, "tracemalloc_peak_bytes": peak}
             rows.append(row)
             print(f"{width:>6} {row['atoms']:>6} {row['distinct_y']:>5} {x.size:>7} "

@@ -25,7 +25,6 @@ from .correlations import (
     CorrelationReport,
     PairMeasures,
     average_ranks,
-    concordance_counts,
     full_report,
     kendall_from_distributions,
     kendall_naive,

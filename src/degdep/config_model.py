@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import DegreeTypePair, DirectedMultigraph
+from .digraph import DegreeTypePair, DirectedMultigraph, edges_are_simple
 from .pmf import ConfigError, Pmf, require_at_least, size_biased
 
 __all__ = [
@@ -134,12 +134,16 @@ def sample_bidegree(n: int, out_law: Pmf, in_law: Pmf, rng) -> BiDegreeRealizati
     deficient side until the totals match; under equal means the addition is
     o(n), so the empirical laws are preserved asymptotically.  Laws whose
     means differ by more than 5% trigger a warning (the model presumes equal
-    means).  An all-zero sample is rejected.
+    means).  Two point masses at 0 are rejected (ConfigError) before any
+    draw; an all-zero sample of other laws is rejected (ValueError).
     """
     require_at_least("n", n)
     _require_degree_law(out_law, "out_law")
     _require_degree_law(in_law, "in_law")
     mean_out, mean_in = out_law.mean(), in_law.mean()
+    if mean_out == 0 and mean_in == 0:
+        raise ConfigError("out_law and in_law are both point masses at 0: "
+                          "every node would have zero stubs")
     if abs(mean_out - mean_in) > _MEAN_MISMATCH_WARN * max(mean_out, mean_in):
         warnings.warn(
             f"stub laws have unequal means (out {mean_out:.6g}, in {mean_in:.6g}); "
@@ -187,13 +191,6 @@ def generate_cm(n: int, out_law: Pmf, in_law: Pmf, rng) -> GenerationResult:
     return pair_stubs_cm(sample_bidegree(n, out_law, in_law, rng), rng)
 
 
-def _pairing_is_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
-    if np.any(src == dst):
-        return False
-    keys = src * np.int64(n) + dst
-    return np.unique(keys).size == keys.size
-
-
 def generate_rcm(
     n: int,
     out_law: Pmf,
@@ -214,7 +211,7 @@ def generate_rcm(
     src, tgt = _stub_endpoints(b)
     for attempt in range(1, max_attempts + 1):
         dst = tgt[rng.permutation(tgt.size)]
-        if _pairing_is_simple(src, dst, n):
+        if edges_are_simple(src, dst, n):
             graph = DirectedMultigraph(n, src, dst)
             return GenerationResult(graph, b, ErasureLedger.empty(n), attempts=attempt)
     raise GenerationError(

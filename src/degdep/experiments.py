@@ -117,6 +117,7 @@ class ExperimentConfig:
         require_at_least("replicas", self.replicas)
         require_at_least("tie_break_replicas", self.tie_break_replicas)
         require_at_least("max_attempts", self.max_attempts)
+        require_at_least("jobs", self.jobs)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "pairs", require_known("pairs", self.pairs, PAIR_LABELS))
         object.__setattr__(self, "measures", require_known("measures", self.measures, MEASURES))
@@ -405,8 +406,8 @@ def run_consistency(
 ) -> list[ConsistencyRow]:
     """Sample iid pairs from `joint` and compare estimators with exact targets.
 
-    Rejects (ConfigError) a size below 2, a replica or tie-break count below
-    1, and joints with a point-mass marginal (every target is then
+    Rejects (ConfigError) a size below 2, a replica, tie-break or job count
+    below 1, and joints with a point-mass marginal (every target is then
     degenerate).  Targets: the population Spearman rho for uniform-rank
     ranks, its S-factor-rescaled version for average ranks, and the
     population Kendall tau.
@@ -414,6 +415,7 @@ def run_consistency(
     sizes = _require_sizes(sizes, 2)
     require_at_least("replicas", replicas)
     require_at_least("tie_break_replicas", tie_break_replicas)
+    require_at_least("jobs", jobs)
     targets = {
         "spearman_uniform": spearman_population(joint),
         "spearman_average": spearman_average_limit(joint),

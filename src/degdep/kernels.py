@@ -3,9 +3,9 @@
 `count_inversions(seq, weights=None)` sums w_i * w_j over the inverted pairs
 i < j with seq[i] > seq[j] (every weight 1 when none are given).  It has two
 callers, each counting over distinct atoms or cells rather than occurrences:
-`degdep.correlations.PairTable` for raw pair data too wide for a dense count
-table (integer cell counts, exact), and `degdep.pmf.kendall_population`
-(atom probabilities).  Both look it up here at call time.
+`degdep.correlations.PairTable` (integer cell counts, exact) for every
+sample Kendall's tau, and `degdep.pmf.kendall_population` (atom
+probabilities).  Both look it up here at call time.
 
 The algorithm is a bottom-up merge count (Knight 1966) where every level
 merges all block pairs at once through one stable sort, so the Python-level

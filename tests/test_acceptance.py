@@ -22,7 +22,6 @@ from degdep import (
     DirectedMultigraph,
     JointPmf,
     average_ranks,
-    concordance_counts,
     continuized_joint_cdf_mean,
     continuized_moment,
     discrete_moment_sum,
@@ -42,6 +41,7 @@ from degdep import (
     tv_distance,
 )
 from degdep.cli import main as cli_main
+from degdep.correlations import PairTable
 from degdep.experiments import ExperimentConfig, run_null_model, summarize_null_model
 
 from helpers import random_joint, random_multigraph, random_pmf
@@ -111,7 +111,7 @@ def test_criterion_03_concordance_oracle_equivalence():
             span = int(rng.choice([3, 10, 50, 1000]))
             x = rng.integers(0, span, m)
             y = rng.integers(0, span, m)
-            assert concordance_counts(x, y) == kendall_naive(x, y)
+            assert PairTable(x, y).concordance() == kendall_naive(x, y)
 
 
 def _fraction_pearson(pairs):
@@ -136,7 +136,7 @@ def test_criterion_04_worked_small_graph_values():
         view = g.edge_degree_view(pair)
         x, y = view.source_degrees, view.target_degrees
 
-        n_c, n_d = concordance_counts(x, y)
+        n_c, n_d = PairTable(x, y).concordance()
         assert (n_c, n_d) == (0, 1)
         assert Fraction(2 * (n_c - n_d), 3 * 2) == Fraction(-1, 3)
         assert kendall_xy(x, y) == -1 / 3

@@ -256,6 +256,10 @@ EXIT_CODES = {
     "generate-bad-law": (
         ["generate", "--model", "cm", "--n", "10", "--out-law", "cauchy:1",
          "--in-law", "poisson:1", "--seed", "1"], 1),
+    # two point masses at 0 are refused before any stub is drawn
+    "generate-zero-laws": (
+        ["generate", "--model", "cm", "--n", "10", "--out-law", "uniform:0..0",
+         "--in-law", "uniform:0..0", "--seed", "1"], 1),
     "generate-max-attempts-0": (
         ["generate", "--model", "rcm", "--n", "10", *_LAWS, "--seed", "1",
          "--max-attempts", "0"], 1),
@@ -288,11 +292,13 @@ EXIT_CODES = {
     "null-model-negative-support": (
         ["experiment", "null-model", "--model", "cm", "--sizes", "50", "--replicas", "1",
          "--out-law", "poisson:2", "--in-law", "uniform:-2..3", "--seed", "1"], 1),
+    "null-model-negative-jobs": ([*_NULL, "--replicas", "1", "--jobs", "-3"], 1),
     "null-model-unwritable": ([*_NULL, "--replicas", "1", "-o", "{missing}/r.csv"], 2),
     "consistency-sizes-1": ([*_CONS, "--sizes", "1", "--replicas", "1"], 1),
     "consistency-replicas-0": ([*_CONS, "--sizes", "100", "--replicas", "0"], 1),
     "consistency-tie-break-replicas-0": (
         [*_CONS, "--sizes", "100", "--replicas", "1", "--tie-break-replicas", "0"], 1),
+    "consistency-zero-jobs": ([*_CONS, "--sizes", "100", "--replicas", "1", "--jobs", "0"], 1),
     "consistency-degenerate-joint": (
         ["experiment", "consistency", "--joint", "{constant_x}", "--seed", "1",
          "--sizes", "100", "--replicas", "1"], 1),

@@ -54,6 +54,9 @@ CHECKS = {
         "out_law must be supported on non-negative integers, got support from -2"),
     "sample_bidegree-n": (lambda: sample_bidegree(0, POISSON, POISSON, 0),
                           "n must be >= 1, got 0"),
+    "sample_bidegree-zero-laws": (
+        lambda: sample_bidegree(10, parse_law("uniform:0..0"), parse_law("uniform:0..0"), 0),
+        "out_law and in_law are both point masses at 0"),
     "generate_rcm-max_attempts": (
         lambda: generate_rcm(10, POISSON, POISSON, 0, max_attempts=0),
         "max_attempts must be >= 1, got 0"),
@@ -74,6 +77,7 @@ CHECKS = {
     "config-tie-break": (lambda: config(tie_break_replicas=0),
                          "tie_break_replicas must be >= 1, got 0"),
     "config-max-attempts": (lambda: config(max_attempts=0), "max_attempts must be >= 1, got 0"),
+    "config-jobs": (lambda: config(jobs=-3), "jobs must be >= 1, got -3"),
     "config-empty-pairs": (lambda: config(pairs=()), "pairs must name at least one"),
     "config-unknown-pair": (lambda: config(pairs=("up-down",)), r"unknown pairs: \['up-down'\]"),
     "config-empty-measures": (lambda: config(measures=()), "measures must name at least one"),
@@ -85,6 +89,7 @@ CHECKS = {
     "consistency-replicas": (lambda: consistency(replicas=0), "replicas must be >= 1, got 0"),
     "consistency-tie-break": (lambda: consistency(tie_break_replicas=0),
                               "tie_break_replicas must be >= 1, got 0"),
+    "consistency-jobs": (lambda: consistency(jobs=0), "jobs must be >= 1, got 0"),
     "consistency-degenerate-joint": (lambda: consistency(joint=CONSTANT_X), "point mass"),
     "endpoint-laws-model": (lambda: run_endpoint_laws(config(model="ecm")),
                             "requires model='cm', got 'ecm'"),
@@ -121,8 +126,11 @@ def test_argument_check_raises_config_error(case):
 def test_data_errors_stay_plain_value_errors(tmp_path):
     bad = tmp_path / "joint.tsv"
     bad.write_text("0\t0\tnot-a-number\n")
+    # a law of positive mean can still draw zero stubs on every node
+    almost_zero = Pmf(np.array([0, 1]), np.array([1 - 1e-12, 1e-12]))
     for call in (lambda: read_joint_pmf(bad),
-                 lambda: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0)):
+                 lambda: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0),
+                 lambda: sample_bidegree(4, almost_zero, almost_zero, 0)):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert not isinstance(excinfo.value, ConfigError)

@@ -12,7 +12,6 @@ from degdep import (
     DegreeTypePair,
     DirectedMultigraph,
     average_ranks,
-    concordance_counts,
     full_report,
     kendall_from_distributions,
     kendall_population,
@@ -235,7 +234,7 @@ class TestKendall:
         assert kendall_xy([1, 2, 3, 4], [2, 3, 5, 9]) == 1.0
 
     def test_concordance_example(self):
-        assert concordance_counts([2, 2, 1], [1, 2, 2]) == (0, 1)
+        assert PairTable([2, 2, 1], [1, 2, 2]).concordance() == (0, 1)
 
     def test_matches_distribution_form_denominator(self):
         # kendall_from_distributions == 2 (N_C - N_D) / m^2 exactly
@@ -244,7 +243,7 @@ class TestKendall:
             g = random_multigraph(rng)
             m = g.edge_count
             view = g.edge_degree_view(OUT_IN)
-            n_c, n_d = concordance_counts(view.source_degrees, view.target_degrees)
+            n_c, n_d = PairTable(view.source_degrees, view.target_degrees).concordance()
             assert kendall_from_distributions(g, OUT_IN) == 2 * (n_c - n_d) / m**2
 
     def test_pair_vs_occurrence_gap(self):

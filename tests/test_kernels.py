@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degdep import concordance_counts, kendall_naive, kernels
+from degdep import kendall_naive, kernels
+from degdep.correlations import PairTable
 
 from helpers import inversions_brute
 
@@ -126,13 +127,13 @@ class TestWeightedCountInversions:
 
 class TestConcordanceCounts:
     def test_worked_example(self):
-        assert concordance_counts([2, 2, 1], [1, 2, 2]) == (0, 1)
+        assert PairTable([2, 2, 1], [1, 2, 2]).concordance() == (0, 1)
 
     def test_perfectly_concordant(self):
-        assert concordance_counts([1, 2, 3], [1, 2, 3]) == (3, 0)
+        assert PairTable([1, 2, 3], [1, 2, 3]).concordance() == (3, 0)
 
     def test_all_tied(self):
-        assert concordance_counts([1, 1, 1], [2, 2, 2]) == (0, 0)
+        assert PairTable([1, 1, 1], [2, 2, 2]).concordance() == (0, 0)
 
     def test_matches_naive_on_random_lists(self):
         rng = np.random.default_rng(1)
@@ -140,7 +141,7 @@ class TestConcordanceCounts:
             m = int(rng.integers(2, 200))
             x = rng.integers(0, 12, m)
             y = rng.integers(0, 12, m)
-            assert concordance_counts(x, y) == kendall_naive(x, y)
+            assert PairTable(x, y).concordance() == kendall_naive(x, y)
 
     def test_counts_bounded_by_total_pairs(self):
         rng = np.random.default_rng(2)
@@ -148,7 +149,7 @@ class TestConcordanceCounts:
             m = int(rng.integers(2, 120))
             x = rng.integers(0, 6, m)
             y = rng.integers(0, 6, m)
-            n_c, n_d = concordance_counts(x, y)
+            n_c, n_d = PairTable(x, y).concordance()
             assert n_c >= 0 and n_d >= 0
             assert n_c + n_d <= m * (m - 1) // 2
 
@@ -166,4 +167,4 @@ class TestConcordanceCounts:
     def test_property_matches_naive(self, pairs):
         x = np.array([a for a, _ in pairs])
         y = np.array([b for _, b in pairs])
-        assert concordance_counts(x, y) == kendall_naive(x, y)
+        assert PairTable(x, y).concordance() == kendall_naive(x, y)

@@ -1,12 +1,14 @@
 """The per-pair count table against independent oracles.
 
-Kendall's counts are checked against the O(m^2) definition and against the
-merge count; average-rank Spearman and Pearson against per-occurrence
-Python-integer sums with the documented final rounding, and, past two
-million pairs, against values derived in `Fraction` arithmetic.
+Kendall's counts are checked against the O(m^2) definition and, on graphs,
+against the dense-grid distribution form; average-rank Spearman and Pearson
+against per-occurrence Python-integer sums with the documented final
+rounding, and, past two million pairs, against values derived in `Fraction`
+arithmetic.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,13 +27,7 @@ from degdep import (
     kernels,
     uniform_ranks,
 )
-from degdep.correlations import PairTable, _exact_dot, _grid_concordance
-
-
-def _dense_grid(table: PairTable) -> np.ndarray:
-    grid = np.zeros((table.ux.size, table.uy.size), dtype=np.int64)
-    np.add.at(grid, (table.cx, table.cy), 1)
-    return grid
+from degdep.correlations import PairTable, _exact_dot, kendall_from_distributions
 
 
 def _rounded(num: int, var_a: int, var_b: int):
@@ -74,14 +70,10 @@ pair_lists = st.lists(
 class TestConcordance:
     @given(pair_lists, st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_grid_and_merge_match_naive(self, pairs, constant_x):
+    def test_concordance_matches_naive(self, pairs, constant_x):
         x = np.array([0 if constant_x else a for a, _ in pairs])
         y = np.array([b for _, b in pairs])
-        table = PairTable(x, y)
-        expected = kendall_naive(x, y)
-        assert _grid_concordance(_dense_grid(table)) == expected
-        assert table._merge_concordance() == expected
-        assert table.concordance() == expected
+        assert PairTable(x, y).concordance() == kendall_naive(x, y)
 
     @given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-3, 3)),
                     min_size=2, max_size=40))
@@ -96,8 +88,8 @@ class TestConcordance:
         assert kendall_xy(x, y) == float(Fraction(2 * (n_c - n_d), m * (m - 1)))
 
     def test_merge_counts_distinct_cells(self, monkeypatch):
-        # 60 distinct (x, y) cells repeated over 800 pairs: K_x * K_y = 3600
-        # exceeds 4m, so there is no grid and the kernel sees the cells
+        # 60 distinct (x, y) cells repeated over 800 pairs: the kernel sees
+        # the cells, not the occurrences
         rng = np.random.default_rng(4)
         cell_x = rng.permutation(60) * 10**9
         cell_y = rng.permutation(60) - 30
@@ -112,7 +104,6 @@ class TestConcordance:
 
         monkeypatch.setattr(kernels, "count_inversions", spy)
         table = PairTable(x, y)
-        assert table.grid is None
         assert table.concordance() == kendall_naive(x, y)
         assert lengths and max(lengths) <= np.unique(pick).size
 
@@ -121,7 +112,34 @@ class TestConcordance:
         assert PairTable([1, 1], [5, 4]).concordance() == (0, 0)
         assert kendall_xy([1, 2], [4, 5]) == 1.0
 
-    def test_degree_views_always_get_a_grid(self):
+    @pytest.mark.parametrize("k, m, sorted_tally", [(10, 50, False), (9, 40, True)])
+    def test_cell_tally_on_each_side_of_the_bincount_rule(self, monkeypatch, k, m,
+                                                          sorted_tally):
+        # k values a side, with cells (0, 0) and (k-1, k-1), make the cell
+        # keys span k^2: up to 2m (100 = 2 * 50) they are tallied by
+        # bincount, past it (81 = 2 * 40 + 1) by sorting
+        rng = np.random.default_rng(m)
+        x = np.concatenate((np.arange(k), rng.integers(0, k, m - k)))
+        y = np.concatenate((np.arange(k), rng.integers(0, k, m - k)))
+        unique_calls = []
+        unique = np.unique
+
+        def spy(values, **kwargs):
+            unique_calls.append(kwargs)
+            return unique(values, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        table = PairTable(x, y)
+        monkeypatch.undo()
+        assert unique_calls == ([{"return_counts": True}] if sorted_tally else [])
+        tally = Counter(zip(x.tolist(), y.tolist()))
+        cells = list(zip(table.ux[table.cell_x].tolist(), table.uy[table.cell_y].tolist(),
+                         table.cell_counts.tolist()))
+        assert cells == [(a, b, tally[a, b]) for a, b in sorted(tally)]
+        assert table.concordance() == kendall_naive(x, y)
+        assert table.cross_sum(table.ux, table.uy) == int(np.dot(x, y))
+
+    def test_degree_views_match_naive_and_distribution_form(self):
         rng = np.random.default_rng(3)
         k = 60  # node i has out- and in-degree i + 1: the most distinct degrees per edge
         tight = np.repeat(np.arange(k), np.arange(1, k + 1))
@@ -130,8 +148,13 @@ class TestConcordance:
             src = np.minimum(rng.zipf(1.3, m) - 1, n - 1)
             graphs.append(DirectedMultigraph(n, src, rng.integers(0, n, m)))
         for g in graphs:
+            m = g.edge_count
             for pair in ALL_PAIRS:
-                assert PairTable.of_graph(g, pair).grid is not None
+                view = g.edge_degree_view(pair)
+                n_c, n_d = PairTable.of_graph(g, pair).concordance()
+                assert (n_c, n_d) == kendall_naive(view.source_degrees, view.target_degrees)
+                assert kendall_from_distributions(g, pair) == float(
+                    Fraction(2 * (n_c - n_d), m * m))
 
 
 class TestExactSums:
