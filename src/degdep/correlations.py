@@ -74,9 +74,9 @@ def _as_values(values, name: str = "values") -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _compress(values: np.ndarray, *, index: bool = True):
+def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct values (ascending), their counts, and the index of each entry
-    among them (None unless `index`).
+    among them.
 
     The index has the smallest unsigned dtype that holds it, so a stable
     argsort of it is a linear-time radix sort for up to 65536 distinct
@@ -90,14 +90,8 @@ def _compress(values: np.ndarray, *, index: bool = True):
         tally = np.bincount(shifted, minlength=span)
         present = tally > 0
         uniq = np.flatnonzero(present) + lo
-        codes = None
-        if index:
-            index_of = (np.cumsum(present) - 1).astype(np.min_scalar_type(uniq.size - 1))
-            codes = index_of[shifted]
-        return uniq, tally[present], codes
-    if not index:
-        uniq, counts = np.unique(values, return_counts=True)
-        return uniq, counts, None
+        index_of = (np.cumsum(present) - 1).astype(np.min_scalar_type(uniq.size - 1))
+        return uniq, tally[present], index_of[shifted]
     uniq, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
     return uniq, counts, codes.astype(np.min_scalar_type(uniq.size - 1))
 
@@ -235,9 +229,16 @@ class PairTable:
         self.m = int(x.size)
         self.ux, self.wx, self.cx = _compress(x)
         self.uy, self.wy, self.cy = _compress(y)
-        ky = self.uy.size
-        cells, self.cell_counts, _ = _compress(self.cx.astype(np.int64) * ky + self.cy,
-                                               index=False)
+        # the cells by the same rule: keys in 0..K_x*K_y-1 are tallied by
+        # bincount when that range is at most 2m, otherwise sorted
+        kx, ky = self.ux.size, self.uy.size
+        keys = self.cx.astype(np.int64) * ky + self.cy
+        if kx * ky <= 2 * self.m:
+            tally = np.bincount(keys, minlength=kx * ky)
+            cells = np.flatnonzero(tally)
+            self.cell_counts = tally[cells]
+        else:
+            cells, self.cell_counts = np.unique(keys, return_counts=True)
         self.cell_x, self.cell_y = np.divmod(cells, ky)
 
     @classmethod

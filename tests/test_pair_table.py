@@ -115,9 +115,9 @@ class TestConcordance:
     @pytest.mark.parametrize("k, m, sorted_tally", [(10, 50, False), (9, 40, True)])
     def test_cell_tally_on_each_side_of_the_bincount_rule(self, monkeypatch, k, m,
                                                           sorted_tally):
-        # k values a side, with cells (0, 0) and (k-1, k-1), make the cell
-        # keys span k^2: up to 2m (100 = 2 * 50) they are tallied by
-        # bincount, past it (81 = 2 * 40 + 1) by sorting
+        # k values a side give cell keys in 0..k^2-1: a range up to 2m
+        # (100 = 2 * 50) is tallied by bincount, past it (81 = 2 * 40 + 1)
+        # by sorting
         rng = np.random.default_rng(m)
         x = np.concatenate((np.arange(k), rng.integers(0, k, m - k)))
         y = np.concatenate((np.arange(k), rng.integers(0, k, m - k)))
