@@ -229,8 +229,8 @@ class PairTable:
         self.m = int(x.size)
         self.ux, self.wx, self.cx = _compress(x)
         self.uy, self.wy, self.cy = _compress(y)
-        # the cells by the same rule: keys in 0..K_x*K_y-1 are tallied by
-        # bincount when that range is at most 2m, otherwise sorted
+        # the cells by _compress's rule, over the key range 0..K_x*K_y-1:
+        # bincount when it is at most 2m, otherwise a sort
         kx, ky = self.ux.size, self.uy.size
         keys = self.cx.astype(np.int64) * ky + self.cy
         if kx * ky <= 2 * self.m:
