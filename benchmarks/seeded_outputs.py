@@ -2,7 +2,9 @@
 """Print a sha256 digest of every output of a fixed set of seeded CLI runs.
 
 The runs cover `generate` for cm, rcm and ecm, `measure` with JSON and CSV
-output, and the null-model, consistency and table1 sweeps.  One consistency
+output, and the null-model, consistency and table1 sweeps.  The null-model
+sweep runs twice on the same graphs: once with the exact tie-break mean (no
+--tie-break-replicas) and once averaging three seeded tie-break draws.  One consistency
 sweep reads a wide joint law written by this script, whose samples have
 values and (x, y) cells too spread out for a bincount tally, so the sorting
 tallies run too.  Every command goes through `degdep.cli.main` in a
@@ -41,6 +43,8 @@ COMMANDS = (
     ("measure", "cm.tsv", "--seed", "5", "--format", "csv", "-o", "cm.csv"),
     ("experiment", "null-model", "--model", "ecm", "--sizes", "500,2000", "--replicas", "2",
      *ZETA, "--seed", "6", "-o", "null-model.csv"),
+    ("experiment", "null-model", "--model", "ecm", "--sizes", "500,2000", "--replicas", "2",
+     *ZETA, "--seed", "6", "--tie-break-replicas", "3", "-o", "null-model-draws.csv"),
     ("experiment", "consistency", "--joint", "bernoulli-product", "--sizes", "100,1000",
      "--replicas", "2", "--seed", "7", "-o", "consistency.csv"),
     ("experiment", "consistency", "--joint", "{wide}", "--sizes", "20000", "--replicas", "1",

@@ -112,13 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="concurrent sweep cells (default 1)")
         p.add_argument("-o", "--output", required=True, help="rows CSV path")
 
+    tie_break_help = ("uniform-rank Spearman: seeded tie-break draws to average; "
+                      "omit for the exact tie-break mean")
     null = exp_sub.add_parser("null-model",
                               help="measure generated graphs over a size/replica grid")
     null.add_argument("--model", choices=("cm", "rcm", "ecm"), required=True)
     add_sweep_args(null)
     null.add_argument("--pairs", type=_comma_list, default=PAIR_LABELS)
     null.add_argument("--measures", type=_comma_list, default=NULL_MODEL_MEASURES)
-    null.add_argument("--tie-break-replicas", type=int, default=32)
+    null.add_argument("--tie-break-replicas", type=int, default=None,
+                      help=tie_break_help)
     null.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
 
     cons = exp_sub.add_parser("consistency",
@@ -127,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"builtin joint ({', '.join(BUILTIN_JOINTS)}) or a "
                            "'x<TAB>y<TAB>prob' file")
     add_sweep_args(cons, with_laws=False)
-    cons.add_argument("--tie-break-replicas", type=int, default=32)
+    cons.add_argument("--tie-break-replicas", type=int, default=None,
+                      help=tie_break_help)
 
     tab = exp_sub.add_parser("table1",
                              help="empirical endpoint-degree laws of multigraphs vs "

@@ -301,6 +301,11 @@ class PairTable:
         n_c, n_d = self.concordance()
         return 2 * (n_c - n_d) / (self.m * (self.m - 1))
 
+    def _centered_doubled_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """2 * average rank - (m + 1) per distinct x and y value."""
+        return (_doubled_ranks_by_value(self.wx) - (self.m + 1),
+                _doubled_ranks_by_value(self.wy) - (self.m + 1))
+
     def spearman_average(self) -> float | None:
         """Spearman's rho on average ranks; None when a side is fully tied.
 
@@ -309,8 +314,7 @@ class PairTable:
         exactly over the table through centered doubled ranks.
         """
         self._require_pairs()
-        da = _doubled_ranks_by_value(self.wx) - (self.m + 1)
-        db = _doubled_ranks_by_value(self.wy) - (self.m + 1)
+        da, db = self._centered_doubled_ranks()
         return _correlation(
             self.cross_sum(da, db), _moments(self.wx, da)[1], _moments(self.wy, db)[1]
         )
@@ -348,18 +352,44 @@ class PairTable:
         value = 3 * _exact_dot(da, db, (m - 1) ** 2) / (m**3 - m)
         return min(1.0, max(-1.0, value))
 
+    def spearman_uniform_mean(self) -> float:
+        """The exact mean of `spearman_uniform` over its tie-breaks.
+
+        The two tie-breaks are independent, and within a tie group every
+        occurrence's centered doubled rank has the group's average as its
+        mean; so the mean of the draw's numerator is the numerator on
+        average ranks, 3 * sum(da db) / (m^3 - m).  This is the
+        Rao-Blackwellised form of the estimator: the same limit without
+        the tie-break noise.  With no ties it equals every draw, and it is
+        0 when a side is fully tied.
+        """
+        self._require_pairs()
+        m = self.m
+        value = 3 * self.cross_sum(*self._centered_doubled_ranks()) / (m**3 - m)
+        return min(1.0, max(-1.0, value))
+
+
+def require_tie_break_replicas(tie_break_replicas: int | None) -> None:
+    """ConfigError unless the count is None (the exact mean) or at least 1."""
+    if tie_break_replicas is not None:
+        require_at_least("tie_break_replicas", tie_break_replicas)
+
 
 def measure_table(
-    table: PairTable, measure: str, seed_parts: tuple, tie_break_replicas: int
+    table: PairTable, measure: str, seed_parts: tuple, tie_break_replicas: int | None
 ) -> float | None:
     """One measure read from a pair's table.
 
-    The uniform-rank Spearman value is the mean of `tie_break_replicas`
-    draws; draw `rep` uses the RNG seeded by
-    child_seed(*seed_parts, rep, "tie-break"), so each caller keeps its own
-    seed layout.
+    The uniform-rank Spearman value is the exact tie-break mean
+    (`PairTable.spearman_uniform_mean`) when `tie_break_replicas` is None,
+    and otherwise the mean of that many draws; draw `rep` uses the RNG
+    seeded by child_seed(*seed_parts, rep, "tie-break"), so each caller
+    keeps its own seed layout.  A count below 1 is a ConfigError.
     """
+    require_tie_break_replicas(tie_break_replicas)
     if measure == "spearman_uniform":
+        if tie_break_replicas is None:
+            return table.spearman_uniform_mean()
         draws = [
             table.spearman_uniform(child_seed(*seed_parts, rep, "tie-break"))
             for rep in range(tie_break_replicas)
@@ -542,7 +572,7 @@ class CorrelationReport:
 def full_report(
     g: DirectedMultigraph,
     seed: int,
-    tie_break_replicas: int = 1,
+    tie_break_replicas: int | None = 1,
     *,
     pairs=tuple(p.label for p in ALL_PAIRS),
     measures=MEASURES,
@@ -550,7 +580,8 @@ def full_report(
     """The requested measures for the requested pairs (default: all of both).
 
     The uniform-rank Spearman value is the mean over `tie_break_replicas`
-    independent tie-break draws (1 reproduces a single draw); every draw gets
+    independent tie-break draws (1 reproduces a single draw, None gives the
+    exact tie-break mean); every draw gets
     its own child seed from (seed, pair index, replica), so identical (graph,
     seed, replicas) inputs give an identical report, and a pair's values do
     not depend on which other pairs or measures are asked for.  Degenerate
@@ -558,7 +589,7 @@ def full_report(
     entries instead of an error.  The arguments are checked (ConfigError)
     before the graph's edge count (ValueError below 2).
     """
-    require_at_least("tie_break_replicas", tie_break_replicas)
+    require_tie_break_replicas(tie_break_replicas)
     pairs = require_known("pairs", pairs, [p.label for p in ALL_PAIRS])
     measures = require_known("measures", measures, MEASURES)
     if g.edge_count < 2:

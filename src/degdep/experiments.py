@@ -16,8 +16,11 @@ Every cell (size index, replica index) owns RNGs seeded by
 order and sweeps are byte-reproducible (the runtime_ms column is excluded
 from that contract).  Each (graph or sample, pair) is tabulated once and
 every measure read from that table, so a row's runtime_ms is the table
-build plus its own measure.  Cells may run concurrently; rows are sorted
-before writing.
+build plus its own measure.  The uniform-rank Spearman value is by default
+its exact mean over tie-breaks (`PairTable.spearman_uniform_mean`), the
+limit of infinitely many draws; an explicit `tie_break_replicas` count
+averages that many seeded draws instead.  Cells may run concurrently; rows
+are sorted before writing.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .correlations import (
     kendall_xy,
     measure_table,
     pearson_xy,
+    require_tie_break_replicas,
     spearman_average_xy,
     spearman_uniform_xy,
 )
@@ -92,7 +96,12 @@ _MODELS = ("cm", "rcm", "ecm")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of a generation sweep (null-model / endpoint laws)."""
+    """Configuration of a generation sweep (null-model / endpoint laws).
+
+    `tie_break_replicas` None (the default) gives the exact tie-break mean
+    of the uniform-rank Spearman; a count of 1 or more averages that many
+    seeded draws.
+    """
 
     model: str
     sizes: tuple[int, ...]
@@ -102,7 +111,7 @@ class ExperimentConfig:
     seed: int
     pairs: tuple[str, ...] = PAIR_LABELS
     measures: tuple[str, ...] = NULL_MODEL_MEASURES
-    tie_break_replicas: int = 32
+    tie_break_replicas: int | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     jobs: int = 1
 
@@ -115,7 +124,7 @@ class ExperimentConfig:
         if list(sizes) != sorted(sizes):
             raise ConfigError(f"sizes must be ascending, got {sizes}")
         require_at_least("replicas", self.replicas)
-        require_at_least("tie_break_replicas", self.tie_break_replicas)
+        require_tie_break_replicas(self.tie_break_replicas)
         require_at_least("max_attempts", self.max_attempts)
         require_at_least("jobs", self.jobs)
         object.__setattr__(self, "sizes", sizes)
@@ -401,7 +410,7 @@ def run_consistency(
     sizes,
     replicas: int,
     seed: int,
-    tie_break_replicas: int = 32,
+    tie_break_replicas: int | None = None,
     jobs: int = 1,
 ) -> list[ConsistencyRow]:
     """Sample iid pairs from `joint` and compare estimators with exact targets.
@@ -410,11 +419,13 @@ def run_consistency(
     below 1, and joints with a point-mass marginal (every target is then
     degenerate).  Targets: the population Spearman rho for uniform-rank
     ranks, its S-factor-rescaled version for average ranks, and the
-    population Kendall tau.
+    population Kendall tau.  The uniform-rank value is the exact tie-break
+    mean when `tie_break_replicas` is None (the default), and otherwise the
+    mean of that many seeded draws.
     """
     sizes = _require_sizes(sizes, 2)
     require_at_least("replicas", replicas)
-    require_at_least("tie_break_replicas", tie_break_replicas)
+    require_tie_break_replicas(tie_break_replicas)
     require_at_least("jobs", jobs)
     targets = {
         "spearman_uniform": spearman_population(joint),

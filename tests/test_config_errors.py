@@ -98,6 +98,13 @@ CHECKS = {
     "builtin_joint": (lambda: builtin_joint("cauchy"), "unknown builtin joint 'cauchy'"),
     "measure_table": (lambda: measure_table(PairTable([1, 2], [2, 1]), "tau", (0,), 1),
                       "unknown measure 'tau'"),
+    # a count below 1 would average no draws
+    "measure_table-tie-break": (
+        lambda: measure_table(PairTable([1, 2], [2, 1]), "spearman_uniform", (0,), 0),
+        "tie_break_replicas must be >= 1, got 0"),
+    "measure_table-tie-break-negative": (
+        lambda: measure_table(PairTable([1, 2], [2, 1]), "spearman_uniform", (0,), -2),
+        "tie_break_replicas must be >= 1, got -2"),
     "full_report-tie-break": (lambda: full_report(GRAPH, 0, tie_break_replicas=0),
                               "tie_break_replicas must be >= 1, got 0"),
     "full_report-empty-pairs": (lambda: full_report(GRAPH, 0, pairs=()),

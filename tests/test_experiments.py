@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from degdep import child_seed
+from degdep import DegreeTypePair, child_seed
+from degdep.correlations import PairTable
 from degdep.experiments import (
     ConsistencyRow,
     EndpointLawRow,
     ExperimentConfig,
     builtin_joint,
+    generate_graph,
     read_rows_csv,
     run_consistency,
     run_endpoint_laws,
@@ -136,6 +138,23 @@ class TestNullModelSweep:
             if key[0] == 3000:
                 assert value <= 0.08, (key, value)
 
+    def test_default_uniform_rank_value_is_the_exact_mean(self):
+        config = small_config(tie_break_replicas=None, replicas=2)
+        rows = run_null_model(config)
+        checked = 0
+        for row in rows:
+            if row.measure != "spearman_uniform":
+                continue
+            size_index = config.sizes.index(row.n)
+            graph = generate_graph(
+                config.model, row.n, *config.laws(),
+                np.random.default_rng(child_seed(config.seed, size_index, row.replica,
+                                                 "generate"))).graph
+            table = PairTable.of_graph(graph, DegreeTypePair.from_label(row.pair))
+            assert row.value == table.spearman_uniform_mean()
+            checked += 1
+        assert checked == 2 * 2 * 4
+
     def test_csv_round_trip_lossless(self, tmp_path):
         rows = run_null_model(small_config(sizes=(60,), replicas=2))
         path = tmp_path / "rows.csv"
@@ -173,6 +192,20 @@ class TestConsistencySweep:
             assert row.defined
             assert row.abs_error == pytest.approx(abs(row.value - row.target))
             assert row.abs_error < 0.1
+
+    def test_default_uniform_rank_value_is_the_exact_mean(self):
+        joint = builtin_joint("bernoulli-product")
+        rows = run_consistency(joint, sizes=(50, 400), replicas=3, seed=6)
+        checked = 0
+        for row in rows:
+            if row.measure != "spearman_uniform":
+                continue
+            size_index = (50, 400).index(row.n)
+            x, y = joint.sample(np.random.default_rng(
+                child_seed(6, size_index, row.replica, "consistency-sample")), row.n)
+            assert row.value == PairTable(x, y).spearman_uniform_mean()
+            checked += 1
+        assert checked == 2 * 3
 
     def test_error_shrinks_with_size(self):
         joint = builtin_joint("bernoulli-equal")

@@ -1,10 +1,10 @@
 """The per-pair count table against independent oracles.
 
 Kendall's counts are checked against the O(m^2) definition and, on graphs,
-against the dense-grid distribution form; average-rank Spearman and Pearson
-against per-occurrence Python-integer sums with the documented final
-rounding, and, past two million pairs, against values derived in `Fraction`
-arithmetic.
+against the dense-grid distribution form; average-rank Spearman, the exact
+tie-break mean of the uniform-rank Spearman and Pearson against
+per-occurrence Python-integer sums with the documented final rounding, and,
+past two million pairs, against values derived in `Fraction` arithmetic.
 """
 
 import math
@@ -49,17 +49,23 @@ def _pearson_reference(x, y):
     return _rounded(m * sxy - sx * sy, m * sxx - sx * sx, m * syy - sy * sy)
 
 
-def _spearman_average_reference(x, y):
+def _centered(values):
     # doubled average rank, centered: 2 * (#greater + (#equal + 1) / 2) - (m + 1)
-    m = len(x)
+    return [2 * sum(w > v for w in values) + sum(w == v for w in values) - len(values)
+            for v in values]
 
-    def centered(values):
-        return [2 * sum(w > v for w in values) + sum(w == v for w in values) - m
-                for v in values]
 
-    da, db = centered(x), centered(y)
+def _spearman_average_reference(x, y):
+    da, db = _centered(x), _centered(y)
     return _rounded(sum(a * b for a, b in zip(da, db)),
                     sum(a * a for a in da), sum(b * b for b in db))
+
+
+def _spearman_uniform_mean_reference(x, y):
+    # 3 sum(da db) / (m^3 - m) in rational arithmetic, rounded once
+    m = len(x)
+    return float(Fraction(3 * sum(a * b for a, b in zip(_centered(x), _centered(y))),
+                          m**3 - m))
 
 
 pair_lists = st.lists(
@@ -256,6 +262,28 @@ class TestUniformDraws:
         standard_error = draws.std(ddof=1) / math.sqrt(draws.size)
         assert expected < 0.97
         assert abs(draws.mean() - expected) <= 4 * standard_error
+
+    @given(pair_lists, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_mean_matches_fraction_formula(self, pairs, constant_x):
+        x = [0 if constant_x else a for a, _ in pairs]
+        y = [b for _, b in pairs]
+        value = PairTable(x, y).spearman_uniform_mean()
+        assert value == _spearman_uniform_mean_reference(x, y)
+        if constant_x:
+            assert value == 0.0
+
+    @given(st.integers(2, 300), st.integers(0, 2**32), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_mean_without_ties_is_every_draw(self, m, data_seed, draw_seed):
+        rng = np.random.default_rng(data_seed)
+        table = PairTable(rng.permutation(m) * 3 - m, rng.permutation(m))
+        assert table.spearman_uniform_mean() == table.spearman_uniform(draw_seed)
+
+    def test_exact_mean_of_a_fully_tied_side_is_zero(self):
+        y = np.random.default_rng(8).integers(0, 50, 400)
+        assert PairTable(np.full(400, 7), y).spearman_uniform_mean() == 0.0
+        assert PairTable(y, np.full(400, 7)).spearman_uniform_mean() == 0.0
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0.0, 0.25, 0.5, 0.75])),
                     min_size=1, max_size=80))
