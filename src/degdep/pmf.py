@@ -335,9 +335,12 @@ def spearman_population(joint: JointPmf) -> float:
     mx, my = joint.marginal_x(), joint.marginal_y()
     _require_nondegenerate(mx, "X marginal")
     _require_nondegenerate(my, "Y marginal")
-    sfx = mx.tie_aware_cdf(joint.xs)
-    sfy = my.tie_aware_cdf(joint.ys)
-    return 3.0 * float(np.dot(joint.probs, sfx * sfy)) - 3.0
+    # multiply in place and sum, not np.dot: a float dot of a long vector
+    # goes to a threaded BLAS, whose start-up can cost more than the sum
+    weighted = mx.tie_aware_cdf(joint.xs)
+    weighted *= my.tie_aware_cdf(joint.ys)
+    weighted *= joint.probs
+    return 3.0 * float(np.sum(weighted)) - 3.0
 
 
 def kendall_population(joint: JointPmf) -> float:
@@ -362,9 +365,9 @@ def s_factor(p: Pmf) -> float:
     Zero exactly for point masses, at most 1, and increasing toward 1 as the
     law spreads out (ties become negligible).
     """
-    cum = p._cum_pad[1:]
-    cum_prev = p._cum_pad[:-1]
-    return float(np.dot(p.probs, cum * cum_prev))
+    weighted = p._cum_pad[1:] * p._cum_pad[:-1]
+    weighted *= p.probs
+    return float(np.sum(weighted))
 
 
 def spearman_average_limit(joint: JointPmf) -> float:

@@ -66,6 +66,53 @@ class TestSpearmanPopulation:
             assert -1.0 - EXACT <= spearman_population(j) <= 1.0 + EXACT
 
 
+def _wide_atoms(width: int, seed: int):
+    """The consistency-wide recipe: 8 y offsets per x, drawn from 512, and
+    integer weights 1..16."""
+    rng = np.random.default_rng(seed)
+    xs = np.repeat(np.arange(width), 8)
+    shifts = rng.permuted(np.tile(np.arange(512), (width, 1)), axis=1)
+    return xs, xs + shifts[:, :8].ravel(), rng.integers(1, 17, xs.size)
+
+
+def _value_weights(values, ws):
+    """Total weight at each distinct value (ascending), and each atom's
+    value index."""
+    uniq, index = np.unique(values, return_inverse=True)
+    at = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(at, index, ws)
+    return at, index
+
+
+class TestWideJointExactRationals:
+    """Float sums over 32k atoms stay within 1e-12 of the exact rationals of
+    the integer weights."""
+
+    XS, YS, WS = _wide_atoms(4000, 27)
+    TOTAL = int(WS.sum())
+    JOINT = JointPmf(XS, YS, WS / TOTAL)
+
+    def test_spearman_population(self):
+        def scaled_tie_aware(values):
+            # total * sF(v) = 2 * weight below v + weight at v
+            at, index = _value_weights(values, self.WS)
+            return (2 * np.cumsum(at) - at)[index].tolist()
+
+        s = sum(map(lambda w, a, b: w * a * b, self.WS.tolist(),
+                    scaled_tie_aware(self.XS), scaled_tie_aware(self.YS)))
+        exact = 3 * Fraction(s, self.TOTAL**3) - 3
+        assert abs(Fraction(spearman_population(self.JOINT)) - exact) <= Fraction(1, 10**12)
+
+    def test_s_factor(self):
+        for values, marginal in ((self.XS, self.JOINT.marginal_x()),
+                                 (self.YS, self.JOINT.marginal_y())):
+            at, _ = _value_weights(values, self.WS)
+            # total^3 * P(v) F(v) F(v - 1)
+            s = sum(w * c * (c - w) for w, c in zip(at.tolist(), np.cumsum(at).tolist()))
+            exact = Fraction(s, self.TOTAL**3)
+            assert abs(Fraction(s_factor(marginal)) - exact) <= Fraction(1, 10**12)
+
+
 class TestKendallPopulation:
     def test_diagonal_bernoulli(self):
         assert kendall_population(diag_bernoulli()) == pytest.approx(0.5, abs=EXACT)
