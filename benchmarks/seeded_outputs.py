@@ -4,10 +4,10 @@
 The runs cover `generate` for cm, rcm and ecm, `measure` with JSON and CSV
 output, and the null-model, consistency and table1 sweeps.  The null-model
 sweep runs twice on the same graphs: once with the exact tie-break mean (no
---tie-break-replicas) and once averaging three seeded tie-break draws.  One consistency
-sweep reads a wide joint law written by this script, whose samples have
-values and (x, y) cells too spread out for a bincount tally, so the sorting
-tallies run too.  Every command goes through `degdep.cli.main` in a
+--tie-break-replicas) and once averaging three seeded tie-break draws.  One
+consistency sweep reads a wide joint law written by this script, whose
+samples have values and (x, y) cells too spread out for a bincount tally, so
+the sorting tallies run too.  Every command goes through `degdep.cli.main` in a
 temporary directory.  The runtime_ms column of sweep rows is dropped before
 hashing: it is the one part of an output that a fixed seed leaves free.  The
 script prints one `sha256  file` line per output, so two source trees that

@@ -581,10 +581,10 @@ def full_report(
 
     The uniform-rank Spearman value is the mean over `tie_break_replicas`
     independent tie-break draws (1 reproduces a single draw, None gives the
-    exact tie-break mean); every draw gets
-    its own child seed from (seed, pair index, replica), so identical (graph,
-    seed, replicas) inputs give an identical report, and a pair's values do
-    not depend on which other pairs or measures are asked for.  Degenerate
+    exact tie-break mean); every draw gets its own child seed from (seed,
+    pair index, replica), so identical (graph, seed, replicas) inputs give
+    an identical report, and a pair's values do not depend on which other
+    pairs or measures are asked for.  Degenerate
     sides are flagged and yield None for the average-rank and Pearson
     entries instead of an error.  The arguments are checked (ConfigError)
     before the graph's edge count (ValueError below 2).

@@ -139,13 +139,7 @@ class TestKendallPopulation:
             assert -1.0 - EXACT <= kendall_population(j) <= 1.0 + EXACT
 
     def test_wide_joint_matches_exact_rational(self):
-        # the consistency-wide recipe at 300 x values: 8 y offsets per x,
-        # drawn from 512, and integer weights 1..16
-        rng = np.random.default_rng(26)
-        xs = np.repeat(np.arange(300), 8)
-        shifts = rng.permuted(np.tile(np.arange(512), (300, 1)), axis=1)
-        ys = xs + shifts[:, :8].ravel()
-        ws = rng.integers(1, 17, xs.size)
+        xs, ys, ws = _wide_atoms(300, 26)
         total = int(ws.sum())
         # sum over ordered atom pairs of w_i w_j sign(x_i - x_j) sign(y_i - y_j)
         signed = 0
