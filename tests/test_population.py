@@ -98,8 +98,8 @@ class TestWideJointExactRationals:
             at, index = _value_weights(values, self.WS)
             return (2 * np.cumsum(at) - at)[index].tolist()
 
-        s = sum(map(lambda w, a, b: w * a * b, self.WS.tolist(),
-                    scaled_tie_aware(self.XS), scaled_tie_aware(self.YS)))
+        s = sum(w * a * b for w, a, b in zip(self.WS.tolist(), scaled_tie_aware(self.XS),
+                                             scaled_tie_aware(self.YS)))
         exact = 3 * Fraction(s, self.TOTAL**3) - 3
         assert abs(Fraction(spearman_population(self.JOINT)) - exact) <= Fraction(1, 10**12)
 
