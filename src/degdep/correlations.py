@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .digraph import ALL_PAIRS, DegreeTypePair, DirectedMultigraph
-from .pmf import ConfigError, require_at_least, require_known
+from .pmf import ConfigError, as_int_array, require_at_least, require_known
 from .seeding import child_seed
 
 __all__ = [
@@ -58,20 +58,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
-
-
-def _as_values(values, name: str = "values") -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(arr == rounded):
-            raise ValueError(f"{name} must be integers")
-        arr = rounded
-    return arr.astype(np.int64, copy=False)
 
 
 def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +138,9 @@ def uniform_ranks(values, rng=None, *, noise=None) -> np.ndarray:
     instead of an RNG; ties are then broken by ascending noise, which is
     ranking the continuized values v + U.
     """
-    values = _as_values(values)
+    values = as_int_array(values, "values")
+    if values.size == 0:
+        raise ValueError("values must be nonempty")
     if noise is None:
         order = _tie_broken_order(_compress(values)[2], _as_rng(rng))
     else:
@@ -195,7 +183,9 @@ def average_ranks(values) -> np.ndarray:
 
     Deterministic; the ranks are half-integers and always sum to m(m+1)/2.
     """
-    values = _as_values(values)
+    values = as_int_array(values, "values")
+    if values.size == 0:
+        raise ValueError("values must be nonempty")
     return _average_ranks_doubled(values) / 2.0
 
 
@@ -222,10 +212,12 @@ class PairTable:
     """
 
     def __init__(self, x, y):
-        x = _as_values(x, "x")
-        y = _as_values(y, "y")
+        x = as_int_array(x, "x")
+        y = as_int_array(y, "y")
         if x.size != y.size:
             raise ValueError("x and y must have the same length")
+        if x.size == 0:
+            raise ValueError("x and y must be nonempty")
         self.m = int(x.size)
         self.ux, self.wx, self.cx = _compress(x)
         self.uy, self.wy, self.cy = _compress(y)

@@ -9,12 +9,11 @@ immutable after construction; sampling takes a caller-owned RNG.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import ConfigError, JointPmf, Pmf
+from .pmf import ConfigError, JointPmf, Pmf, as_int_array, load_table, table_lines
 
 __all__ = [
     "DegreeTypePair",
@@ -101,8 +100,12 @@ class DirectedMultigraph:
         n = int(self.n)
         if n < 0:
             raise ValueError("node count must be non-negative")
-        src = self._validated_ids(self.src, "source")
-        dst = self._validated_ids(self.dst, "target")
+        # copies, so freezing them leaves the caller's arrays writable
+        src = as_int_array(self.src, "source ids").copy()
+        dst = as_int_array(self.dst, "target ids").copy()
+        for what, ids in (("source", src), ("target", dst)):
+            if ids.min(initial=0) < 0:
+                raise ValueError(f"{what} ids must be non-negative")
         if src.size != dst.size:
             raise ValueError("source and target arrays differ in length")
         if src.size and max(int(src.max()), int(dst.max())) >= n:
@@ -128,32 +131,16 @@ class DirectedMultigraph:
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
 
-    @staticmethod
-    def _validated_ids(values, what: str) -> np.ndarray:
-        arr = np.asarray(values)
-        if arr.ndim != 1:
-            raise ValueError(f"{what} ids must be one-dimensional")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.all(arr == rounded):
-                raise ValueError(f"{what} ids must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
-        if arr.size and arr.min() < 0:
-            raise ValueError(f"{what} ids must be non-negative")
-        return arr
-
     @classmethod
     def from_edge_list(cls, pairs, n: int | None = None) -> "DirectedMultigraph":
         """Build from (source, target) pairs; duplicates become multi-edges."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
         if arr.size == 0:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        else:
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("edge list must be a sequence of (source, target) pairs")
-            src, dst = arr[:, 0], arr[:, 1]
+            arr = np.empty((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("edge list must be a sequence of (source, target) pairs")
+        src = as_int_array(arr[:, 0], "source ids")
+        dst = as_int_array(arr[:, 1], "target ids")
         if n is None:
             n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
         return cls(n, src, dst)
@@ -252,18 +239,9 @@ def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
     """
     # numpy's C parser reads a subset of this language (ASCII digits with an
     # optional sign) to the same values, so a clean two-column, non-negative
-    # result is the file's graph.  Anything else, including a warning such as
-    # an empty input or an integer parsed through a float on older numpy, is
-    # decided by the line parser, which alone reports errors.  loadtxt gets an
-    # open handle, not the path: given a path it would also read a missing
-    # file's compressed sibling, decompress '*.gz' names and fetch URLs.
+    # result is the file's graph; the line parser decides anything else.
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                edges = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
-        except (ValueError, ArithmeticError, Warning):
-            edges = None
+        edges = load_table(fh, np.int64)
     if edges is None or edges.shape[1] != 2 or (edges.size and edges.min() < 0):
         edges = _parse_edge_lines(path)
     if n is None:
@@ -274,25 +252,18 @@ def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
 def _parse_edge_lines(path) -> np.ndarray:
     """Parse an edge list line by line into an (m, 2) int64 array."""
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
-            try:
-                s, d = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
-            if s < 0 or d < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
-            if s > _MAX_ID or d > _MAX_ID:
-                raise ValueError(
-                    f"{path}:{lineno}: node id out of range (largest is 2**63 - 1) in {line!r}"
-                )
-            edges.append((s, d))
+    for lineno, line, fields in table_lines(path, "src<TAB>dst"):
+        try:
+            s, d = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
+        if s < 0 or d < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
+        if s > _MAX_ID or d > _MAX_ID:
+            raise ValueError(
+                f"{path}:{lineno}: node id out of range (largest is 2**63 - 1) in {line!r}"
+            )
+        edges.append((s, d))
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 

@@ -21,6 +21,7 @@ on the first `JointPmf.cdf` call.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -92,24 +93,29 @@ def require_known(name: str, given, known) -> tuple:
     return given
 
 
-def _as_int_array(values, name: str) -> np.ndarray:
+def as_int_array(values, name: str) -> np.ndarray:
+    """`values` as a one-dimensional int64 array, not copied if it is one.
+
+    ValueError unless every entry is an integer int64 holds: a float must be
+    whole and of magnitude below 2**63, which a cast would otherwise turn
+    into -2**63 as it does nan and inf.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(arr == rounded):
-            raise ValueError(f"{name} must contain integers")
-        arr = rounded
-    return arr.astype(np.int64)
+    if not np.can_cast(arr.dtype, np.int64) and not (
+        arr.dtype.kind in "uf" and np.all((arr == np.rint(arr)) & (np.abs(arr) < 2.0**63))
+    ):
+        raise ValueError(f"{name} must be integers of magnitude below 2**63")
+    return arr.astype(np.int64, copy=False)
 
 
 def _normalize(probs, name: str) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if np.any(p <= 0):
-        raise ValueError(f"{name} must be strictly positive")
+    if not np.all((p > 0) & (p < np.inf)):
+        raise ValueError(f"{name} must be finite and strictly positive")
     total = float(p.sum())
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"{name} sum to {total}, not 1 within {_SUM_TOL}")
@@ -131,7 +137,8 @@ class Pmf:
     _cum_pad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        support = _as_int_array(self.support, "support")
+        # a copy, so freezing it leaves the caller's array writable
+        support = as_int_array(self.support, "support").copy()
         if support.size == 0:
             raise ValueError("support must be nonempty")
         if np.any(np.diff(support) <= 0):
@@ -207,8 +214,8 @@ class JointPmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        xs = _as_int_array(self.xs, "xs")
-        ys = _as_int_array(self.ys, "ys")
+        xs = as_int_array(self.xs, "xs")
+        ys = as_int_array(self.ys, "ys")
         if xs.size != ys.size:
             raise ValueError("xs and ys must have the same length")
         if xs.size == 0:
@@ -465,7 +472,7 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Named laws and text format
+# Named laws and the text tables (laws here, edge lists in degdep.digraph)
 # ---------------------------------------------------------------------------
 
 
@@ -551,29 +558,76 @@ def _build_law(name: str, arg: str, zeta_kmax: int) -> Pmf:
     raise ValueError(f"unknown law name {name!r}")
 
 
-def read_pmf(path) -> Pmf:
-    """Read a Pmf from text: one 'value<TAB>probability' per line, '#' comments."""
-    values: list[int] = []
-    probs: list[float] = []
+def load_table(fh, dtype) -> np.ndarray | None:
+    """numpy's parse of an open text table with '#' comments, at least 2-D.
+
+    None on any failure or warning (an empty input; on older numpy, an
+    integer parsed through a float): the caller then reads the file with
+    :func:`table_lines`, which alone reports errors.  A handle, unlike a
+    path, keeps numpy from reading a missing file's '.gz' sibling,
+    decompressing '*.gz' names and fetching URLs.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=2)
+    except (ValueError, ArithmeticError, Warning):
+        return None
+
+
+def table_lines(path, layout: str):
+    """Yield (lineno, line, fields) for each non-blank line of a text table.
+
+    '#' starts a comment and any whitespace separates fields.  A line whose
+    field count differs from `layout`'s (such as 'src<TAB>dst') is a
+    ValueError that quotes the layout and the line.
+    """
+    width = len(layout.split("<TAB>"))
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'value<TAB>probability'")
+            fields = line.split()
+            if len(fields) != width:
+                raise ValueError(f"{path}:{lineno}: expected {layout!r}, got {line!r}")
+            yield lineno, line, fields
+
+
+def _read_law_table(path, layout: str) -> list[np.ndarray]:
+    """The int64 value columns and the float64 probability column of a law file.
+
+    Values are read by int(), of magnitude below 2**63, and probabilities by
+    float().  numpy's parse reads a subset of this to the same numbers, but
+    also takes -2**63, so a result holding it goes to the line loop.
+    """
+    *values, prob = layout.split("<TAB>")
+    dtype = np.dtype([(name, np.int64) for name in values] + [(prob, np.float64)])
+    with open(path, "r", encoding="utf-8") as fh:
+        table = load_table(fh, dtype)
+    if table is None or any(table[name].min(initial=0) == -(2**63) for name in values):
+        rows = []
+        for lineno, line, fields in table_lines(path, layout):
             try:
-                values.append(int(parts[0]))
-                probs.append(float(parts[1]))
+                row = tuple(map(int, fields[:-1])) + (float(fields[-1]),)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed entry {line!r}") from None
-    if not values:
-        raise ValueError(f"{path}: no pmf entries found")
-    if len(set(values)) != len(values):
+            if any(abs(v) >= 2**63 for v in row[:-1]):
+                raise ValueError(f"{path}:{lineno}: value out of range (|v| < 2**63) in {line!r}")
+            rows.append(row)
+        table = np.array(rows, dtype=dtype)
+    if table.size == 0:
+        raise ValueError(f"{path}: no entries found")
+    return [table[name].ravel() for name in dtype.names]
+
+
+def read_pmf(path) -> Pmf:
+    """Read a Pmf from text: one 'value<TAB>probability' per line, '#' comments."""
+    values, probs = _read_law_table(path, "value<TAB>probability")
+    if np.unique(values).size != values.size:
         raise ValueError(f"{path}: duplicate support values")
     order = np.argsort(values)
-    return Pmf(np.asarray(values)[order], np.asarray(probs)[order])
+    return Pmf(values[order], probs[order])
 
 
 def write_pmf(p: Pmf, path) -> None:
@@ -585,23 +639,4 @@ def write_pmf(p: Pmf, path) -> None:
 
 def read_joint_pmf(path) -> JointPmf:
     """Read a JointPmf from text: 'x<TAB>y<TAB>probability' lines, '#' comments."""
-    xs: list[int] = []
-    ys: list[int] = []
-    probs: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'x<TAB>y<TAB>probability'")
-            try:
-                xs.append(int(parts[0]))
-                ys.append(int(parts[1]))
-                probs.append(float(parts[2]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed entry {line!r}") from None
-    if not xs:
-        raise ValueError(f"{path}: no joint pmf entries found")
-    return JointPmf(np.asarray(xs), np.asarray(ys), np.asarray(probs))
+    return JointPmf(*_read_law_table(path, "x<TAB>y<TAB>probability"))

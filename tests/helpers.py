@@ -116,6 +116,40 @@ def read_edge_list_reference(path, n=None) -> DirectedMultigraph:
     return DirectedMultigraph(n, np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
 
 
+def read_joint_pmf_reference(path) -> JointPmf:
+    """The line-by-line joint-pmf reader that the shared table reader replaced.
+
+    Kept verbatim as the reference for `degdep.pmf.read_joint_pmf`: both
+    must build the same law or raise a ValueError at the same line.  It
+    accepts nan probabilities and values of 2**63 and up, which the library
+    now rejects.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    probs: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'x<TAB>y<TAB>probability'")
+            try:
+                xs.append(int(parts[0]))
+                ys.append(int(parts[1]))
+                probs.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed entry {line!r}") from None
+    if not xs:
+        raise ValueError(f"{path}: no joint pmf entries found")
+    return JointPmf(np.asarray(xs), np.asarray(ys), np.asarray(probs))
+
+
+# Floats that are not integers int64 holds, for the constructors' checks.
+NON_INT64_FLOATS = (0.5, np.inf, -np.inf, np.nan, 1e19)
+
+
 def edge_lines_reference(src, dst) -> bytes:
     """The bytes `degdep.write_edge_list` must write: one f-string line per edge."""
     return "".join(f"{s}\t{d}\n" for s, d in zip(src.tolist(), dst.tolist())).encode("utf-8")

@@ -305,6 +305,15 @@ EXIT_CODES = {
     "consistency-malformed-joint": (
         ["experiment", "consistency", "--joint", "{bad}", "--seed", "1",
          "--sizes", "100", "--replicas", "1"], 2),
+    "consistency-nan-joint": (
+        ["experiment", "consistency", "--joint", "{nan_joint}", "--seed", "1",
+         "--sizes", "100", "--replicas", "1"], 2),
+    "consistency-joint-value-2**63": (
+        ["experiment", "consistency", "--joint", "{joint_2_63}", "--seed", "1",
+         "--sizes", "100", "--replicas", "1"], 2),
+    "consistency-joint-value-2**64": (
+        ["experiment", "consistency", "--joint", "{joint_2_64}", "--seed", "1",
+         "--sizes", "100", "--replicas", "1"], 2),
     "table1-replicas-0": ([*_TAB1, "--replicas", "0"], 1),
     "table1-bad-law": (
         ["experiment", "table1", "--sizes", "50", "--replicas", "1",
@@ -321,6 +330,9 @@ EXIT_MESSAGES = {
     "measure-id-past-int64": ":1: node id out of range",
     "measure-id-too-large-for-memory": "largest node id 1000000000000",
     "measure-id-past-address-space": "largest node id 9223372036854775807",
+    "consistency-nan-joint": "probs must be finite",
+    "consistency-joint-value-2**63": ":2: value out of range",
+    "consistency-joint-value-2**64": ":1: value out of range",
 }
 
 
@@ -339,10 +351,17 @@ def test_exit_codes(case, tmp_path, worked_graph, capsys):
     int64_max.write_text("9223372036854775807\t0\n")
     constant_x = tmp_path / "constant-x.tsv"
     constant_x.write_text("0\t0\t0.5\n0\t1\t0.5\n")
+    nan_joint = tmp_path / "nan-joint.tsv"
+    nan_joint.write_text("0\t0\tnan\n1\t1\t1.0\n")
+    joint_2_63 = tmp_path / "joint-2-63.tsv"
+    joint_2_63.write_text("0\t0\t0.5\n9223372036854775808\t1\t0.5\n")
+    joint_2_64 = tmp_path / "joint-2-64.tsv"
+    joint_2_64.write_text("0\t18446744073709551616\t1\n")
     out = tmp_path / "out"
     places = {"graph": worked_graph, "bad": bad, "missing": tmp_path / "missing",
               "past_int64": past_int64, "sparse": sparse, "int64_max": int64_max,
-              "constant_x": constant_x}
+              "constant_x": constant_x, "nan_joint": nan_joint, "joint_2_63": joint_2_63,
+              "joint_2_64": joint_2_64}
     argv = [arg.format(**places) for arg in argv]
     if "-o" not in argv:
         argv += ["-o", str(out)]

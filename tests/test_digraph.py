@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 import helpers
 from degdep import DegreeTypePair, DirectedMultigraph, digraph, read_edge_list, write_edge_list
 
-from helpers import edge_lines_reference, random_multigraph, read_edge_list_reference
+from helpers import (
+    NON_INT64_FLOATS,
+    edge_lines_reference,
+    random_multigraph,
+    read_edge_list_reference,
+)
 
 OUT_IN = DegreeTypePair("out", "in")
 IN_OUT = DegreeTypePair("in", "out")
@@ -59,8 +64,16 @@ class TestConstruction:
             DirectedMultigraph.from_edge_list([(0, -1)])
 
     def test_rejects_non_integer_ids(self):
-        with pytest.raises(ValueError, match="integer"):
-            DirectedMultigraph.from_edge_list([(0.5, 1)])
+        for bad in NON_INT64_FLOATS:
+            with pytest.raises(ValueError, match="integer"):
+                DirectedMultigraph.from_edge_list([(bad, 1)])
+            with pytest.raises(ValueError, match="integer"):
+                DirectedMultigraph(2, [0, 1], [1.0, bad])
+
+    def test_copies_the_callers_arrays(self):
+        src, dst = np.array([0, 1]), np.array([1, 0])
+        DirectedMultigraph(2, src, dst)
+        src[0] = dst[0] = 1
 
     def test_rejects_id_beyond_declared_n(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -29,6 +29,8 @@ from degdep import (
 )
 from degdep.correlations import PairTable, _exact_dot, kendall_from_distributions
 
+from helpers import NON_INT64_FLOATS
+
 
 def _rounded(num: int, var_a: int, var_b: int):
     """The documented rounding of num / sqrt(var_a var_b)."""
@@ -71,6 +73,21 @@ def _spearman_uniform_mean_reference(x, y):
 pair_lists = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=60
 )
+
+
+class TestInput:
+    def test_rejects_non_integer_values(self):
+        for bad in NON_INT64_FLOATS:
+            with pytest.raises(ValueError, match="integer"):
+                PairTable([bad, 1.0, 2.0], [1, 2, 3])
+            with pytest.raises(ValueError, match="integer"):
+                PairTable([1, 2, 3], [1.0, 2.0, bad])
+
+    def test_rejects_empty_and_unequal_sides(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            PairTable([], [])
+        with pytest.raises(ValueError, match="same length"):
+            PairTable([1, 2], [1])
 
 
 class TestConcordance:
