@@ -24,16 +24,11 @@ from .config_model import (
 from .correlations import (
     CorrelationReport,
     PairMeasures,
-    average_ranks,
     full_report,
-    kendall_from_distributions,
-    kendall_naive,
     kendall_xy,
     pearson_xy,
     spearman_average_xy,
-    spearman_from_distributions,
     spearman_uniform_xy,
-    uniform_ranks,
 )
 from .digraph import (
     ALL_PAIRS,
@@ -45,14 +40,9 @@ from .digraph import (
 )
 from .pmf import (
     ConfigError,
-    ContinuizedCdf,
     DegenerateLawError,
     JointPmf,
     Pmf,
-    continuized_joint_cdf_mean,
-    continuized_moment,
-    discrete_moment_sum,
-    joint_continuized_product,
     kendall_population,
     parse_law,
     read_pmf,

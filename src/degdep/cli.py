@@ -69,10 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Kendall's tau, Pearson) on directed multigraphs, and directed "
             "configuration-model generators usable as null models."
         ),
-        epilog=(
-            "Environment: DEGDEP_ZETA_KMAX overrides the default truncation "
-            "(10^6) of zeta:a laws."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -174,14 +174,14 @@ def pair_stubs_cm(b: BiDegreeRealization, rng) -> GenerationResult:
     """Uniform random matching of out-stubs to in-stubs; keeps the multigraph.
 
     Every out-stub is equally likely to land on every in-stub, realized by a
-    single random permutation of the in-stub slots.  The resulting degrees
-    equal the stub counts exactly.
+    single random shuffle of the in-stub slots.  The resulting degrees equal
+    the stub counts exactly.
     """
     rng = np.random.default_rng(rng)
     src, tgt = _stub_endpoints(b)
-    dst = tgt[rng.permutation(tgt.size)]
+    rng.shuffle(tgt)
     n = b.out_stubs.size
-    graph = DirectedMultigraph(n, src, dst)
+    graph = DirectedMultigraph(n, src, tgt)
     return GenerationResult(graph, b, ErasureLedger.empty(n), attempts=1)
 
 
@@ -209,8 +209,11 @@ def generate_rcm(
     rng = np.random.default_rng(rng)
     b = sample_bidegree(n, out_law, in_law, rng)
     src, tgt = _stub_endpoints(b)
+    # one buffer for every attempt: the graph constructor copies its input
+    dst = np.empty_like(tgt)
     for attempt in range(1, max_attempts + 1):
-        dst = tgt[rng.permutation(tgt.size)]
+        np.copyto(dst, tgt)
+        rng.shuffle(dst)
         if edges_are_simple(src, dst, n):
             graph = DirectedMultigraph(n, src, dst)
             return GenerationResult(graph, b, ErasureLedger.empty(n), attempts=attempt)
@@ -231,28 +234,23 @@ def erase_multigraph(g: DirectedMultigraph) -> tuple[DirectedMultigraph, Erasure
     auditable.
     """
     n = g.n
-    src, dst = g.src, g.dst
-    erased_out = np.zeros(n, dtype=np.int64)
-    erased_in = np.zeros(n, dtype=np.int64)
-
-    loop_mask = src == dst
-    loop_counts = np.bincount(src[loop_mask], minlength=n)
-    erased_out += loop_counts
-    erased_in += loop_counts
-    self_loops_removed = int(loop_mask.sum())
-
-    src, dst = src[~loop_mask], dst[~loop_mask]
-    keys = src * np.int64(n) + dst
-    uniq_keys, counts = np.unique(keys, return_counts=True)
-    uniq_src = (uniq_keys // n).astype(np.int64)
-    uniq_dst = (uniq_keys % n).astype(np.int64)
-    dup = counts - 1
-    np.add.at(erased_out, uniq_src, dup)
-    np.add.at(erased_in, uniq_dst, dup)
-    multi_edges_merged = int(dup.sum())
-
-    graph = DirectedMultigraph(n, uniq_src, uniq_dst)
-    ledger = ErasureLedger(erased_out, erased_in, self_loops_removed, multi_edges_merged)
+    loop = g.src == g.dst
+    loops = np.bincount(g.src[loop], minlength=n)
+    # the loop-free edge keys, sorted in place (np.unique may take a slower
+    # hash path); a key equal to its predecessor is an erased repeat
+    keep = ~loop
+    keys = g.src[keep]
+    keys *= n
+    keys += g.dst[keep]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    repeats = keys[~first]
+    erased_out = loops + np.bincount(repeats // n, minlength=n)
+    erased_in = loops + np.bincount(repeats % n, minlength=n)
+    keys = keys[first]
+    graph = DirectedMultigraph(n, keys // n, keys % n)
+    ledger = ErasureLedger(erased_out, erased_in, int(loop.sum()), repeats.size)
     return graph, ledger
 
 

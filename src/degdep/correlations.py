@@ -4,9 +4,7 @@ Four measures are computed per degree-type pair over the edge occurrences of
 a graph: Spearman's rho with random tie-breaking (uniform ranks), Spearman's
 rho with average ranks, Kendall's tau (tau-a: the denominator is m(m-1) and
 tied pairs count in neither direction), and Pearson's correlation of the raw
-degrees.  The distribution-based forms (tie-aware cdf expectations over the
-empirical edge law) are provided alongside so the exact rank identities can
-be verified.
+degrees.
 
 All estimators also accept raw integer pair data, which is how the sampling
 consistency experiments drive them; m here always denotes the number of
@@ -24,7 +22,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,17 +31,12 @@ from .pmf import ConfigError, as_int_array, require_at_least, require_known
 from .seeding import child_seed
 
 __all__ = [
-    "uniform_ranks",
-    "average_ranks",
-    "kendall_naive",
     "PairTable",
     "measure_table",
     "spearman_uniform_xy",
     "spearman_average_xy",
     "kendall_xy",
     "pearson_xy",
-    "spearman_from_distributions",
-    "kendall_from_distributions",
     "PairMeasures",
     "CorrelationReport",
     "full_report",
@@ -124,69 +116,11 @@ def _pair_count(counts: np.ndarray) -> int:
     return int(np.sum(counts * (counts - 1) // 2))
 
 
-# ---------------------------------------------------------------------------
-# Ranks
-# ---------------------------------------------------------------------------
-
-
-def uniform_ranks(values, rng=None, *, noise=None) -> np.ndarray:
-    """Ranks with ties broken uniformly at random; rank 1 = largest.
-
-    The result is always a permutation of 1..m and is deterministic given
-    the RNG state: one uniform permutation of the entries orders every run of
-    tied values.  An explicit per-entry `noise` vector may be supplied
-    instead of an RNG; ties are then broken by ascending noise, which is
-    ranking the continuized values v + U.
-    """
-    values = as_int_array(values, "values")
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    if noise is None:
-        order = _tie_broken_order(_compress(values)[2], _as_rng(rng))
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != values.shape:
-            raise ValueError("noise must match values in length")
-        order = np.lexsort((noise, values))  # ascending value, ties by noise
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.arange(values.size, 0, -1)
-    return ranks
-
-
 def _doubled_ranks_by_value(counts: np.ndarray) -> np.ndarray:
     """2 * average rank per distinct value, given the counts in ascending
     value order: 1 + 2*(#greater) + (#equal)."""
     greater = counts.sum() - np.cumsum(counts)
     return 1 + 2 * greater + counts
-
-
-def _tie_aware_by_value(counts: np.ndarray) -> np.ndarray:
-    """m * tie-aware empirical cdf per distinct value: count(<= v) + count(< v)."""
-    cum = np.cumsum(counts)
-    return cum + cum - counts
-
-
-def _average_ranks_doubled(values: np.ndarray) -> np.ndarray:
-    """2 * average rank of every entry, as exact integers."""
-    _, counts, codes = _compress(values)
-    return _doubled_ranks_by_value(counts)[codes]
-
-
-def _empirical_tie_aware_int(values: np.ndarray) -> np.ndarray:
-    """m * tie-aware empirical cdf at every entry: count(<= v) + count(<= v-1)."""
-    _, counts, codes = _compress(values)
-    return _tie_aware_by_value(counts)[codes]
-
-
-def average_ranks(values) -> np.ndarray:
-    """Average ranks (ties share their mean rank); rank 1 = largest.
-
-    Deterministic; the ranks are half-integers and always sum to m(m+1)/2.
-    """
-    values = as_int_array(values, "values")
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    return _average_ranks_doubled(values) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,32 +331,6 @@ def measure_table(
 
 
 # ---------------------------------------------------------------------------
-# Concordant / discordant pair counting
-# ---------------------------------------------------------------------------
-
-
-def kendall_naive(x, y) -> tuple[int, int]:
-    """(concordant, discordant) by the O(m^2) definition; testing oracle.
-
-    Independent of the fast path: compares every pair of rows directly.
-    Intended for m up to a few thousand.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    m = x.size
-    concordant = discordant = 0
-    block = 256
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        dx = np.sign(x[start:stop, None] - x[None, :])
-        dy = np.sign(y[start:stop, None] - y[None, :])
-        prod = dx * dy
-        concordant += int(np.count_nonzero(prod > 0))
-        discordant += int(np.count_nonzero(prod < 0))
-    return concordant // 2, discordant // 2
-
-
-# ---------------------------------------------------------------------------
 # Estimators on raw integer pairs
 # ---------------------------------------------------------------------------
 
@@ -450,53 +358,6 @@ def pearson_xy(x, y) -> float | None:
     rationals.
     """
     return PairTable(x, y).pearson()
-
-
-# ---------------------------------------------------------------------------
-# Distribution forms on graphs
-# ---------------------------------------------------------------------------
-
-
-def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
-    """Distribution form of Spearman's rho: 3 E[sF_a sF_b | G] - 3.
-
-    sF_a, sF_b are the tie-aware cdfs of the empirical endpoint-degree
-    marginals, evaluated at the sampled edge's degrees; computed with integer
-    counts and one exact rational division at the end.
-    """
-    g._require_edges()
-    table = PairTable.of_graph(g, pair)
-    total = table.cross_sum(_tie_aware_by_value(table.wx), _tie_aware_by_value(table.wy))
-    return float(Fraction(3 * total, table.m**3) - 3)
-
-
-def _below_counts(grid: np.ndarray) -> np.ndarray:
-    """Padded 2-D prefix sums: entry (i, j) counts the occurrences whose x
-    index is < i and whose y index is < j."""
-    below = np.zeros((grid.shape[0] + 1, grid.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(grid, axis=0), axis=1, out=below[1:, 1:])
-    return below
-
-
-def kendall_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
-    """Distribution form of Kendall's tau: E[sH(d_a, d_b) | G] - 1.
-
-    sH is the tie-aware joint cdf of the empirical edge joint, evaluated at
-    the sampled edge itself.  Exact integer counts; equals
-    2 (N_C - N_D) / m^2, i.e. the pair estimator with an occurrence-squared
-    denominator.
-    """
-    g._require_edges()
-    table = PairTable.of_graph(g, pair)
-    # a dense grid, independent of the merge count: distinct degrees of
-    # distinct nodes sum to at most m, so K(K-1)/2 <= m on each side and
-    # the grid has O(m) entries
-    grid = np.zeros((table.ux.size, table.uy.size), dtype=np.int64)
-    grid[table.cell_x, table.cell_y] = table.cell_counts
-    below = _below_counts(grid)
-    # with integer data, count(<= v - 1) is count(< v)
-    tie_aware = below[1:, 1:] + below[:-1, 1:] + below[1:, :-1] + below[:-1, :-1]
-    return float(Fraction(int(np.vdot(grid, tie_aware)), table.m**2) - 1)
 
 
 # ---------------------------------------------------------------------------

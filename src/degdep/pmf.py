@@ -1,29 +1,24 @@
 """Finite-support integer probability laws and exact rank-dependence functionals.
 
 This module is the oracle layer of the package: every quantity is computed by
-finite summation or closed-form piecewise-polynomial integration, never by
-sampling.  The central objects are probability mass functions on the integers
-(:class:`Pmf`, :class:`JointPmf`) together with the tie-aware cdf functionals
+finite summation, never by sampling.  The central objects are probability
+mass functions on the integers (:class:`Pmf`, :class:`JointPmf`) and the
+tie-aware cdf
 
-    tie_aware_cdf(k)          = F(k) + F(k - 1)
-    tie_aware_joint_cdf(k, l) = H(k,l) + H(k-1,l) + H(k,l-1) + H(k-1,l-1)
+    tie_aware_cdf(k) = F(k) + F(k - 1)
 
-that underlie Spearman and Kendall correlations for integer-valued data, and
-the continuization X + U (U uniform on [0, 1)) that links the discrete and
-continuous pictures.  The population correlation values computed here are the
-limits that the graph estimators in :mod:`degdep.correlations` are tested
-against.  They are sums over the atoms of a joint law: population Kendall's
-tau is a probability-weighted merge count of the atoms (`degdep.kernels`),
-and the dense joint-cdf grid over all distinct x and y values is built only
-on the first `JointPmf.cdf` call.
+that underlies Spearman and Kendall correlations for integer-valued data.
+The population correlation values computed here are the limits that the
+graph estimators in :mod:`degdep.correlations` are tested against.  They are
+sums over the atoms of a joint law: population Kendall's tau is a
+probability-weighted merge count of the atoms (`degdep.kernels`).
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,15 +29,10 @@ __all__ = [
     "DegenerateLawError",
     "Pmf",
     "JointPmf",
-    "ContinuizedCdf",
     "spearman_population",
     "kendall_population",
     "s_factor",
     "spearman_average_limit",
-    "continuized_moment",
-    "discrete_moment_sum",
-    "joint_continuized_product",
-    "continuized_joint_cdf_mean",
     "size_biased",
     "tv_distance",
     "parse_law",
@@ -59,7 +49,6 @@ _SUM_TOL = 1e-9
 _LAW_MASS_EPS = 1e-12
 
 DEFAULT_ZETA_KMAX = 1_000_000
-_ZETA_KMAX_ENV = "DEGDEP_ZETA_KMAX"
 
 
 class ConfigError(ValueError):
@@ -110,6 +99,15 @@ def as_int_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _law_values(values, name: str) -> np.ndarray:
+    """as_int_array of a law's values, which must also be above -2**63 (the
+    rule |v| < 2**63 of the law files): the tie-aware cdf reads k - 1."""
+    arr = as_int_array(values, name)
+    if arr.min(initial=0) == -(2**63):
+        raise ValueError(f"{name} out of range (|v| < 2**63)")
+    return arr
+
+
 def _normalize(probs, name: str) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
@@ -138,10 +136,11 @@ class Pmf:
 
     def __post_init__(self):
         # a copy, so freezing it leaves the caller's array writable
-        support = as_int_array(self.support, "support").copy()
+        support = _law_values(self.support, "support").copy()
         if support.size == 0:
             raise ValueError("support must be nonempty")
-        if np.any(np.diff(support) <= 0):
+        # neighbours compared, not np.diff, which wraps past 2**63 apart
+        if np.any(support[1:] <= support[:-1]):
             raise ValueError("support must be strictly ascending")
         probs = _normalize(self.probs, "probs")
         if probs.size != support.size:
@@ -188,9 +187,6 @@ class Pmf:
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
 
-    def continuize(self) -> "ContinuizedCdf":
-        return ContinuizedCdf(self)
-
     def sample(self, rng, size: int) -> np.ndarray:
         """Draw `size` iid values by inverse-cdf lookup; deterministic per rng."""
         rng = np.random.default_rng(rng)
@@ -203,10 +199,8 @@ class JointPmf:
     """Joint probability mass function of an integer pair (X, Y).
 
     Stored as parallel arrays (xs, ys, probs) sorted lexicographically.  The
-    first `cdf` call builds a dense cumulative grid over the distinct values
-    of each coordinate, for O(1) joint-cdf lookups after it; the population
-    functionals read the atoms alone, so their memory grows with the number
-    of atoms, not with the product of the distinct value counts.
+    population functionals read the atoms alone, so their memory grows with
+    the number of atoms, not with the product of the distinct value counts.
     """
 
     xs: np.ndarray
@@ -214,8 +208,8 @@ class JointPmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        xs = as_int_array(self.xs, "xs")
-        ys = as_int_array(self.ys, "ys")
+        xs = _law_values(self.xs, "xs")
+        ys = _law_values(self.ys, "ys")
         if xs.size != ys.size:
             raise ValueError("xs and ys must have the same length")
         if xs.size == 0:
@@ -231,26 +225,6 @@ class JointPmf:
         for attr, val in (("xs", xs), ("ys", ys), ("probs", probs)):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
-
-    @cached_property
-    def _ux(self) -> np.ndarray:
-        return np.unique(self.xs)
-
-    @cached_property
-    def _uy(self) -> np.ndarray:
-        return np.unique(self.ys)
-
-    @cached_property
-    def _cum_grid(self) -> np.ndarray:
-        """H over (distinct x, distinct y) with a leading zero row and
-        column, so entry (i, j) is P(X <= ux[i-1], Y <= uy[j-1])."""
-        ix = np.searchsorted(self._ux, self.xs)
-        iy = np.searchsorted(self._uy, self.ys)
-        grid = np.zeros((self._ux.size + 1, self._uy.size + 1))
-        np.add.at(grid, (ix + 1, iy + 1), self.probs)
-        cum = grid.cumsum(axis=0).cumsum(axis=1)
-        cum.setflags(write=False)
-        return cum
 
     @classmethod
     def from_entries(cls, entries) -> "JointPmf":
@@ -277,25 +251,6 @@ class JointPmf:
         uy, inv = np.unique(self.ys, return_inverse=True)
         return Pmf(uy, np.bincount(inv, weights=self.probs))
 
-    def cdf(self, k, l):
-        """H(k, l) = P(X <= k, Y <= l); scalars or broadcastable arrays."""
-        i = np.searchsorted(self._ux, k, side="right")
-        j = np.searchsorted(self._uy, l, side="right")
-        val = self._cum_grid[i, j]
-        return val.item() if np.ndim(val) == 0 else val
-
-    def tie_aware_joint_cdf(self, k, l):
-        """H(k,l) + H(k-1,l) + H(k,l-1) + H(k-1,l-1); ranges over [0, 4]."""
-        k = np.asarray(k)
-        l = np.asarray(l)
-        val = (
-            self.cdf(k, l)
-            + self.cdf(k - 1, l)
-            + self.cdf(k, l - 1)
-            + self.cdf(k - 1, l - 1)
-        )
-        return float(val) if np.ndim(val) == 0 else val
-
     def sample(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw `size` iid (x, y) pairs; returns two aligned arrays."""
         rng = np.random.default_rng(rng)
@@ -304,23 +259,6 @@ class JointPmf:
         idx = np.searchsorted(cum, rng.random(size), side="right")
         idx = np.minimum(idx, self.probs.size - 1)
         return self.xs[idx], self.ys[idx]
-
-
-@dataclass(frozen=True)
-class ContinuizedCdf:
-    """Cdf of X + U with U uniform on [0, 1): piecewise linear between integers.
-
-    On [k, k+1) the value is (x - k) F(k) + (k + 1 - x) F(k - 1), so it equals
-    F(k - 1) at x = k and tends to F(k) as x approaches k + 1.
-    """
-
-    base: Pmf
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        k = np.floor(x).astype(np.int64)
-        val = (x - k) * self.base.cdf(k) + (k + 1 - x) * self.base.cdf(k - 1)
-        return val.item() if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -387,73 +325,6 @@ def spearman_average_limit(joint: JointPmf) -> float:
     return float(rho / (3.0 * np.sqrt(sx * sy)))
 
 
-def continuized_moment(p: Pmf, m: int) -> float:
-    """E[F~(X~)^m] for the continuization X~ = X + U, computed by integration.
-
-    On each interval [k, k+1) the cdf is linear and the continuized law has
-    density P(X = k), so the contribution is the exact polynomial integral
-    (F(k)^(m+1) - F(k-1)^(m+1)) / (m + 1).
-    """
-    if m < 1:
-        raise ValueError("moment order must be >= 1")
-    hi = p._cum_pad[1:] ** (m + 1)
-    lo = p._cum_pad[:-1] ** (m + 1)
-    return float(np.sum(hi - lo)) / (m + 1)
-
-
-def discrete_moment_sum(p: Pmf, m: int) -> float:
-    """(1/(m+1)) sum_i E[F(X)^i F(X-1)^(m-i)], by direct summation.
-
-    Equals :func:`continuized_moment` for every law; the two are kept as
-    independent computations so the identity can be tested.
-    """
-    if m < 1:
-        raise ValueError("moment order must be >= 1")
-    cum = p._cum_pad[1:]
-    cum_prev = p._cum_pad[:-1]
-    total = 0.0
-    for i in range(m + 1):
-        total += float(np.dot(p.probs, cum**i * cum_prev ** (m - i)))
-    return total / (m + 1)
-
-
-def joint_continuized_product(joint: JointPmf) -> float:
-    """E[F~_X(X~) F~_Y(Y~)] by exact per-cell integration of the linear cdfs.
-
-    Equals one quarter of E[sF_X(X) sF_Y(Y)]; kept as an independent route so
-    the quarter identity (and through it the Spearman representation) can be
-    tested.
-    """
-    mx, my = joint.marginal_x(), joint.marginal_y()
-
-    def cell_integrals(marg: Pmf, values: np.ndarray) -> np.ndarray:
-        # integral over [k, k+1) of the linear cdf piece, per unit length:
-        # (F(k)^2 - F(k-1)^2) / (2 P(k)), with P(k) > 0 on every joint cell
-        hi = np.asarray(marg.cdf(values))
-        lo = np.asarray(marg.cdf(values - 1))
-        return (hi**2 - lo**2) / (2.0 * (hi - lo))
-
-    ix = cell_integrals(mx, joint.xs)
-    iy = cell_integrals(my, joint.ys)
-    return float(np.dot(joint.probs, ix * iy))
-
-
-def continuized_joint_cdf_mean(joint: JointPmf) -> float:
-    """E[H~(X~, Y~)] for the continuized pair, by exact per-cell integration.
-
-    Integrating the bilinear joint-cdf piece over each unit cell gives the
-    probability-decomposition form below; equals E[sH(X, Y)] / 4.
-    """
-    xs, ys = joint.xs, joint.ys
-    h11 = np.asarray(joint.cdf(xs, ys))
-    h01 = np.asarray(joint.cdf(xs - 1, ys))
-    h10 = np.asarray(joint.cdf(xs, ys - 1))
-    h00 = np.asarray(joint.cdf(xs - 1, ys - 1))
-    # cell value = H(k-1,l-1) + (P(X<=k-1,Y=l) + P(X=k,Y<=l-1))/2 + P(X=k,Y=l)/4
-    cell = h00 + 0.5 * ((h01 - h00) + (h10 - h00)) + 0.25 * (h11 - h10 - h01 + h00)
-    return float(np.dot(joint.probs, cell))
-
-
 def size_biased(p: Pmf) -> Pmf:
     """Size-biased version of a law: P'(k) = k P(k) / E[X]; drops a zero atom."""
     mean = p.mean()
@@ -476,23 +347,12 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_kmax(explicit: int | None) -> int:
-    if explicit is not None:
-        kmax = int(explicit)
-    else:
-        kmax = int(os.environ.get(_ZETA_KMAX_ENV, DEFAULT_ZETA_KMAX))
-    if kmax < 1:
-        raise ValueError("zeta k_max must be >= 1")
-    return kmax
-
-
-def parse_law(text: str, *, zeta_kmax: int | None = None) -> Pmf:
+def parse_law(text: str, *, zeta_kmax: int = DEFAULT_ZETA_KMAX) -> Pmf:
     """Parse a named law string into a Pmf.
 
     Recognized forms:
       - "zeta:a"       P(k) proportional to k^(-a) for k >= 1, truncated at
-                       k_max (default 10^6, overridable via the DEGDEP_ZETA_KMAX
-                       environment variable or the zeta_kmax argument)
+                       k_max (the zeta_kmax argument, default 10^6)
       - "poisson:lam"  truncated where the point mass falls below 1e-12
       - "geometric:p"  P(k) = p (1-p)^(k-1) for k >= 1, same truncation
       - "uniform:a..b" uniform on the integers {a, ..., b}
@@ -502,7 +362,7 @@ def parse_law(text: str, *, zeta_kmax: int | None = None) -> Pmf:
     if not sep:
         raise ConfigError(f"law {text!r} must look like 'name:params'")
     try:
-        return _build_law(name, arg.strip(), _zeta_kmax(zeta_kmax) if name == "zeta" else 0)
+        return _build_law(name, arg.strip(), int(zeta_kmax) if name == "zeta" else 0)
     except ValueError as exc:
         raise ConfigError(f"invalid law {text!r}: {exc}") from None
 
@@ -513,6 +373,8 @@ def _build_law(name: str, arg: str, zeta_kmax: int) -> Pmf:
         a = float(arg)
         if a <= 0:
             raise ValueError("zeta exponent must be positive")
+        if zeta_kmax < 1:
+            raise ValueError("zeta k_max must be >= 1")
         k = np.arange(1, zeta_kmax + 1, dtype=np.int64)
         w = k.astype(np.float64) ** (-a)
         return Pmf(k, w / w.sum())

@@ -21,15 +21,9 @@ from degdep import (
     DegreeTypePair,
     DirectedMultigraph,
     JointPmf,
-    average_ranks,
-    continuized_joint_cdf_mean,
-    continuized_moment,
-    discrete_moment_sum,
     endpoint_degree_laws,
     generate_cm,
     generate_ecm,
-    joint_continuized_product,
-    kendall_naive,
     kendall_population,
     kendall_xy,
     parse_law,
@@ -45,6 +39,15 @@ from degdep.correlations import PairTable
 from degdep.experiments import ExperimentConfig, run_null_model, summarize_null_model
 
 from helpers import random_joint, random_multigraph, random_pmf
+from oracles import (
+    average_ranks,
+    continuized_joint_cdf_mean,
+    continuized_moment,
+    discrete_moment_sum,
+    joint_continuized_product,
+    kendall_naive,
+    tie_aware_joint_cdf,
+)
 
 EXACT = 1e-12
 
@@ -80,7 +83,7 @@ def test_criterion_01_exact_identity_suite():
             mx, my = j.marginal_x(), j.marginal_y()
             sf_prod = float(np.dot(j.probs, mx.tie_aware_cdf(j.xs) * my.tie_aware_cdf(j.ys)))
             assert abs(joint_continuized_product(j) - sf_prod / 4) <= EXACT
-            sh_mean = float(np.dot(j.probs, j.tie_aware_joint_cdf(j.xs, j.ys)))
+            sh_mean = float(np.dot(j.probs, tie_aware_joint_cdf(j, j.xs, j.ys)))
             assert abs(continuized_joint_cdf_mean(j) - sh_mean / 4) <= EXACT
 
 

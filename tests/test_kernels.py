@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degdep import kendall_naive, kernels
+from degdep import kernels
 from degdep.correlations import PairTable
 
 from helpers import inversions_brute
+from oracles import kendall_naive
 
 
 @pytest.fixture(params=[kernels.BACKEND])

@@ -19,17 +19,15 @@ from hypothesis import strategies as st
 from degdep import (
     ALL_PAIRS,
     DirectedMultigraph,
-    average_ranks,
-    kendall_naive,
     kendall_xy,
     pearson_xy,
     spearman_average_xy,
     kernels,
-    uniform_ranks,
 )
-from degdep.correlations import PairTable, _exact_dot, kendall_from_distributions
+from degdep.correlations import PairTable, _exact_dot
 
 from helpers import NON_INT64_FLOATS
+from oracles import average_ranks, kendall_from_distributions, kendall_naive, uniform_ranks
 
 
 def _rounded(num: int, var_a: int, var_b: int):
