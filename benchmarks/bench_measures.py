@@ -3,10 +3,10 @@
 
 For each size, one ecm graph with zeta:2.5 out- and in-degree laws is
 generated.  For each degree-type pair the script times the table build
-(edge-degree view included), Kendall, average-rank Spearman, Pearson and one
-uniform-rank tie-break draw, each the best of --repeats runs.  It prints one
-line per (size, pair) and writes the same rows, with the revision and
-machine, to a JSON file.  From the root of a source checkout:
+(edge-degree view included), Kendall, average-rank Spearman, Pearson, one
+uniform-rank tie-break draw and the exact tie-break mean, each the best of
+--repeats runs.  It prints one line per (size, pair) and writes the same
+rows, with the revision and machine, to a JSON file.  From the root of a source checkout:
 
     PYTHONPATH=src python benchmarks/bench_measures.py [--sizes 10000,100000,1000000] \\
         [--repeats 3] [--seed 7] [-o BENCH_measures.json]
@@ -24,7 +24,8 @@ from degdep import ALL_PAIRS, generate_ecm, parse_law
 from degdep.correlations import PairTable
 
 LAW = "zeta:2.5"
-STAGES = ("table", "kendall", "spearman_average", "pearson", "spearman_uniform_draw")
+STAGES = ("table", "kendall", "spearman_average", "pearson", "spearman_uniform_draw",
+          "spearman_uniform_mean")
 
 
 def main():
@@ -51,6 +52,7 @@ def main():
                 "pearson": best_of(args.repeats, table.pearson),
                 "spearman_uniform_draw": best_of(
                     args.repeats, lambda: table.spearman_uniform(args.seed)),
+                "spearman_uniform_mean": best_of(args.repeats, table.spearman_uniform_mean),
             }
             rows.append({"n": n, "law": LAW, "pair": pair.label, "edges": table.m,
                          "distinct_x": int(table.ux.size),

@@ -2,8 +2,9 @@
 """Print a sha256 digest of every output of a fixed set of seeded CLI runs.
 
 The runs cover `generate` for cm, rcm and ecm, `measure` with JSON and CSV
-output, and the null-model, consistency and table1 sweeps.  The null-model
-sweep runs twice on the same graphs: once with the exact tie-break mean (no
+output (the exact tie-break mean, one seeded draw, and the mean of four), and
+the null-model, consistency and table1 sweeps.  The null-model sweep runs
+twice on the same graphs: once with the exact tie-break mean (no
 --tie-break-replicas) and once averaging three seeded tie-break draws.  One
 consistency sweep reads a wide joint law written by this script, whose
 samples have values and (x, y) cells too spread out for a bincount tally, so
@@ -41,6 +42,8 @@ COMMANDS = (
     ("generate", "--model", "ecm", "--n", "5000", *ZETA, "--seed", "3", "-o", "ecm.tsv"),
     ("measure", "ecm.tsv", "--seed", "4", "--tie-break-replicas", "4", "-o", "ecm.json"),
     ("measure", "cm.tsv", "--seed", "5", "--format", "csv", "-o", "cm.csv"),
+    ("measure", "cm.tsv", "--seed", "5", "--tie-break-replicas", "1", "--format", "csv",
+     "-o", "cm-draw.csv"),
     ("experiment", "null-model", "--model", "ecm", "--sizes", "500,2000", "--replicas", "2",
      *ZETA, "--seed", "6", "-o", "null-model.csv"),
     ("experiment", "null-model", "--model", "ecm", "--sizes", "500,2000", "--replicas", "2",

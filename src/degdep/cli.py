@@ -7,10 +7,12 @@ exhausted).  Argument ranges and names are checked by the library only.
 
 Reproducibility contract: a fixed --seed makes `generate` byte-identical
 across runs, and makes experiment sweeps byte-identical except for the
-runtime_ms column.  Sweep cells derive their RNG seeds as
-child_seed = first 8 little-endian bytes of
-SHA-256("degdep-seed" 0x1f master 0x1f part ...), so results do not depend
-on execution order or --jobs.
+runtime_ms column.  Every command reports the exact tie-break mean of the
+uniform-rank Spearman unless --tie-break-replicas K asks for the mean of K
+seeded draws, so `measure` values depend on --seed only with a count.
+Sweep cells derive their RNG seeds as child_seed = first 8 little-endian
+bytes of SHA-256("degdep-seed" 0x1f master 0x1f part ...), so results do
+not depend on execution order or --jobs.
 """
 
 from __future__ import annotations
@@ -82,14 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="rcm only: pairing attempts before giving up")
     gen.add_argument("-o", "--output", required=True, help="edge-list output path")
 
+    tie_break_help = ("uniform-rank Spearman: seeded tie-break draws to average; "
+                      "omit for the exact tie-break mean")
     meas = sub.add_parser("measure", help="measure a graph given as an edge list")
     meas.add_argument("graph", help="edge-list file: 'src<TAB>dst' per occurrence")
     meas.add_argument("--pairs", type=_comma_list, default=PAIR_LABELS,
                       help=f"subset of {','.join(PAIR_LABELS)}")
     meas.add_argument("--measures", type=_comma_list, default=MEASURES,
                       help=f"subset of {','.join(MEASURES)}")
-    meas.add_argument("--seed", type=int, default=0, help="tie-break seed")
-    meas.add_argument("--tie-break-replicas", type=int, default=1)
+    meas.add_argument("--seed", type=int, default=0,
+                      help="tie-break seed; used only with --tie-break-replicas")
+    meas.add_argument("--tie-break-replicas", type=int, default=None,
+                      help=tie_break_help)
     meas.add_argument("--format", choices=("json", "csv"), default="json")
     meas.add_argument("-o", "--output", default=None, help="default: stdout")
 
@@ -108,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="concurrent sweep cells (default 1)")
         p.add_argument("-o", "--output", required=True, help="rows CSV path")
 
-    tie_break_help = ("uniform-rank Spearman: seeded tie-break draws to average; "
-                      "omit for the exact tie-break mean")
     null = exp_sub.add_parser("null-model",
                               help="measure generated graphs over a size/replica grid")
     null.add_argument("--model", choices=("cm", "rcm", "ecm"), required=True)

@@ -425,19 +425,20 @@ class CorrelationReport:
 def full_report(
     g: DirectedMultigraph,
     seed: int,
-    tie_break_replicas: int | None = 1,
+    tie_break_replicas: int | None = None,
     *,
     pairs=tuple(p.label for p in ALL_PAIRS),
     measures=MEASURES,
 ) -> CorrelationReport:
     """The requested measures for the requested pairs (default: all of both).
 
-    The uniform-rank Spearman value is the mean over `tie_break_replicas`
-    independent tie-break draws (1 reproduces a single draw, None gives the
-    exact tie-break mean); every draw gets its own child seed from (seed,
-    pair index, replica), so identical (graph, seed, replicas) inputs give
-    an identical report, and a pair's values do not depend on which other
-    pairs or measures are asked for.  Degenerate
+    The uniform-rank Spearman value is by default its exact tie-break mean
+    (`PairTable.spearman_uniform_mean`), which does not depend on `seed`.
+    A `tie_break_replicas` count averages that many tie-break draws instead
+    (1 gives the paper's one-draw estimator); every draw gets its own child
+    seed from (seed, pair index, replica), so identical (graph, seed,
+    replicas) inputs give an identical report, and a pair's values do not
+    depend on which other pairs or measures are asked for.  Degenerate
     sides are flagged and yield None for the average-rank and Pearson
     entries instead of an error.  The arguments are checked (ConfigError)
     before the graph's edge count (ValueError below 2).

@@ -56,10 +56,14 @@ from .correlations import (
     spearman_uniform_xy,
 )
 from .digraph import ALL_PAIRS, DegreeTypePair
+# spearman_average_limit is not called here any more (run_consistency passes
+# its population rho to _average_limit); it stays importable from this
+# module, where outside code that wraps it looks it up
 from .pmf import (
     ConfigError,
     JointPmf,
     Pmf,
+    _average_limit,
     kendall_population,
     parse_law,
     require_at_least,
@@ -427,9 +431,10 @@ def run_consistency(
     require_at_least("replicas", replicas)
     require_tie_break_replicas(tie_break_replicas)
     require_at_least("jobs", jobs)
+    rho = spearman_population(joint)
     targets = {
-        "spearman_uniform": spearman_population(joint),
-        "spearman_average": spearman_average_limit(joint),
+        "spearman_uniform": rho,
+        "spearman_average": _average_limit(joint, rho),
         "kendall": kendall_population(joint),
     }
 

@@ -317,7 +317,12 @@ def s_factor(p: Pmf) -> float:
 
 def spearman_average_limit(joint: JointPmf) -> float:
     """Limit of the average-rank Spearman estimator: rho / (3 sqrt(S_X S_Y))."""
-    rho = spearman_population(joint)
+    return _average_limit(joint, spearman_population(joint))
+
+
+def _average_limit(joint: JointPmf, rho: float) -> float:
+    """rho / (3 sqrt(S_X S_Y)) for the joint's population Spearman `rho`, so
+    a caller that has rho already does not sum it again."""
     sx = s_factor(joint.marginal_x())
     sy = s_factor(joint.marginal_y())
     if sx <= 0.0 or sy <= 0.0:

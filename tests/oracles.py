@@ -54,6 +54,17 @@ def average_ranks(values) -> np.ndarray:
     return average_ranks_doubled(values) / 2.0
 
 
+def uniform_mean_rank_numerator(g: DirectedMultigraph, pair: DegreeTypePair) -> int:
+    """sum (2Ra - (m+1))(2Rb - (m+1)) over the edge occurrences, with Ra, Rb
+    the average ranks of their endpoint degrees: the exact tie-break mean of
+    the uniform-rank Spearman is 3 times this over m^3 - m."""
+    view = g.edge_degree_view(pair)
+    m = view.source_degrees.size
+    da = average_ranks_doubled(view.source_degrees) - (m + 1)
+    db = average_ranks_doubled(view.target_degrees) - (m + 1)
+    return sum(map(operator.mul, da.tolist(), db.tolist()))
+
+
 def empirical_tie_aware_int(values) -> np.ndarray:
     """m * tie-aware empirical cdf at every entry: count(<= v) + count(< v)."""
     values = np.asarray(values, dtype=np.int64)

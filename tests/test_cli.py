@@ -135,6 +135,24 @@ class TestMeasure:
         keys = ("kendall", "degenerate_source", "degenerate_target")
         assert payload["pairs"] == {"out-in": {k: full["out-in"][k] for k in keys}}
 
+    def test_default_makes_no_draws_and_ignores_the_seed(self, tmp_path, monkeypatch):
+        graph = tmp_path / "g.tsv"
+        assert run_cli("generate", "--model", "ecm", "--n", "400", "--out-law", "zeta:2.5",
+                       "--in-law", "zeta:2.5", "--seed", "3", "-o", str(graph)) == 0
+
+        def no_draws(*args):
+            raise AssertionError("a uniform-rank draw ran")
+
+        monkeypatch.setattr(PairTable, "spearman_uniform", no_draws)
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed-{seed}.csv"
+            assert run_cli("measure", str(graph), "--seed", seed, "--format", "csv",
+                           "-o", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b",spearman_uniform," in outputs[0]
+
     def test_csv_format(self, worked_graph, tmp_path):
         out = tmp_path / "report.csv"
         assert run_cli("measure", str(worked_graph), "--format", "csv", "-o", str(out)) == 0

@@ -1,6 +1,7 @@
 """Estimators, rank identities, and distribution-form equivalences."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degdep import (
+    ALL_PAIRS,
     CorrelationReport,
     DegreeTypePair,
     DirectedMultigraph,
@@ -20,6 +22,7 @@ from degdep import (
     spearman_uniform_xy,
 )
 from degdep.correlations import PairTable
+from degdep.seeding import child_seed
 
 from helpers import random_multigraph
 from oracles import (
@@ -28,6 +31,7 @@ from oracles import (
     empirical_tie_aware_int,
     kendall_from_distributions,
     spearman_from_distributions,
+    uniform_mean_rank_numerator,
     uniform_ranks,
 )
 
@@ -418,6 +422,25 @@ class TestFullReport:
             assert entry.pearson is None
             assert entry.degenerate_source and entry.degenerate_target
             assert -1.0 <= entry.spearman_uniform <= 1.0
+
+    def test_default_is_the_exact_tie_break_mean(self):
+        rng = np.random.default_rng(23)
+        for g in (three_edge_graph(), random_multigraph(rng), random_multigraph(rng)):
+            m = g.edge_count
+            report = full_report(g, seed=9)
+            for pair in ALL_PAIRS:
+                num = uniform_mean_rank_numerator(g, pair)
+                assert report.pairs[pair.label].spearman_uniform == float(
+                    Fraction(3 * num, m**3 - m))
+        assert full_report(three_edge_graph(), seed=9).pairs["out-in"].spearman_uniform == -0.375
+
+    def test_one_replica_is_one_seeded_draw(self):
+        g = random_multigraph(np.random.default_rng(24), max_edges=200)
+        report = full_report(g, seed=9, tie_break_replicas=1)
+        for pair_index, pair in enumerate(ALL_PAIRS):
+            draw = PairTable.of_graph(g, pair).spearman_uniform(
+                child_seed(9, pair_index, 0, "tie-break"))
+            assert report.pairs[pair.label].spearman_uniform == draw
 
     def test_deterministic_and_replica_mean(self):
         rng = np.random.default_rng(21)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from degdep import (
     JointPmf,
     Pmf,
-    kendall_population,
     parse_law,
     read_pmf,
     tv_distance,
@@ -161,19 +160,6 @@ class TestJointPmf:
         ys = np.tile([4, 7, 4], 50)
         with pytest.raises(ValueError, match="duplicate"):
             JointPmf(xs, ys, np.full(xs.size, 1 / xs.size))
-
-    def test_wide_joint_builds_no_grid(self):
-        # 4000 x values with 8 y offsets each: a dense grid over the distinct
-        # values would take 4001 x 4386 floats
-        rng = np.random.default_rng(8)
-        xs = np.repeat(np.arange(4000), 8)
-        shifts = rng.permuted(np.tile(np.arange(512), (4000, 1)), axis=1)
-        ys = xs + shifts[:, :8].ravel()
-        j = JointPmf(xs, ys, np.full(xs.size, 1 / xs.size))
-        assert np.unique(j.ys).size > 4000
-        assert "_cum_grid" not in vars(j)
-        kendall_population(j)
-        assert "_cum_grid" not in vars(j)
 
     def test_cdf_matches_brute_force(self):
         rng = np.random.default_rng(9)
