@@ -6,7 +6,8 @@ generated.  For each degree-type pair the script times the table build
 (edge-degree view included), Kendall, average-rank Spearman, Pearson, one
 uniform-rank tie-break draw and the exact tie-break mean, each the best of
 --repeats runs.  It prints one line per (size, pair) and writes the same
-rows, with the revision and machine, to a JSON file.  From the root of a source checkout:
+rows, with the revision and machine, to a JSON file.  From the root of a
+source checkout:
 
     PYTHONPATH=src python benchmarks/bench_measures.py [--sizes 10000,100000,1000000] \\
         [--repeats 3] [--seed 7] [-o BENCH_measures.json]

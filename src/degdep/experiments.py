@@ -56,9 +56,9 @@ from .correlations import (
     spearman_uniform_xy,
 )
 from .digraph import ALL_PAIRS, DegreeTypePair
-# spearman_average_limit is not called here any more (run_consistency passes
-# its population rho to _average_limit); it stays importable from this
-# module, where outside code that wraps it looks it up
+# run_consistency reuses its population rho through _average_limit;
+# spearman_average_limit stays importable from this module, where outside
+# code that wraps it looks it up
 from .pmf import (
     ConfigError,
     JointPmf,
