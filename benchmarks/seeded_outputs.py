@@ -29,6 +29,7 @@ import tempfile
 
 import numpy as np
 
+from bench_layers import write_wide_joint
 from degdep.cli import main as cli_main
 
 ZETA = ("--out-law", "zeta:2.5", "--in-law", "zeta:2.5")
@@ -57,20 +58,6 @@ COMMANDS = (
 )
 
 
-def write_wide_joint(path):
-    """400 x values 1000 apart, each with 8 y values x + s for distinct
-    shifts s in 0..511, and integer weights 1..16."""
-    rng = np.random.default_rng(11)
-    xs = np.repeat(np.arange(400) * 1000, 8)
-    shifts = rng.permuted(np.tile(np.arange(512), (400, 1)), axis=1)[:, :8]
-    ys = xs + shifts.ravel()
-    ws = rng.integers(1, 17, xs.size)
-    total = int(ws.sum())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, w in zip(xs.tolist(), ys.tolist(), ws.tolist()):
-            fh.write(f"{x}\t{y}\t{w / total!r}\n")
-
-
 def without_runtime(data: bytes) -> bytes:
     """CSV bytes with the runtime_ms column removed; other bytes unchanged."""
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
@@ -96,7 +83,8 @@ def main():
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         wide = os.path.join(tmp, "wide-joint.tsv")
-        write_wide_joint(wide)
+        # 400 x values 1000 apart
+        write_wide_joint(wide, 400, 1000, np.random.default_rng(11))
         outputs = os.path.join(tmp, "out")
         os.mkdir(outputs)
         os.chdir(outputs)

@@ -26,11 +26,10 @@ import numpy as np
 
 from .config_model import DEFAULT_MAX_ATTEMPTS, GenerationError
 from .correlations import MEASURES, full_report
-from .digraph import read_edge_list, write_edge_list
+from .digraph import PAIR_LABELS, read_edge_list, write_edge_list
 from .experiments import (
     BUILTIN_JOINTS,
-    NULL_MODEL_MEASURES,
-    PAIR_LABELS,
+    RANK_MEASURES,
     ExperimentConfig,
     builtin_joint,
     generate_graph,
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     null.add_argument("--model", choices=("cm", "rcm", "ecm"), required=True)
     add_sweep_args(null)
     null.add_argument("--pairs", type=_comma_list, default=PAIR_LABELS)
-    null.add_argument("--measures", type=_comma_list, default=NULL_MODEL_MEASURES)
+    null.add_argument("--measures", type=_comma_list, default=RANK_MEASURES)
     null.add_argument("--tie-break-replicas", type=int, default=None,
                       help=tie_break_help)
     null.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)

@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels
-from .digraph import ALL_PAIRS, DegreeTypePair, DirectedMultigraph
+from .digraph import ALL_PAIRS, PAIR_LABELS, DegreeTypePair, DirectedMultigraph
 from .pmf import ConfigError, as_int_array, require_at_least, require_known
 from .seeding import child_seed
 
@@ -380,14 +380,7 @@ class PairMeasures:
     degenerate_target: bool
 
     def to_dict(self) -> dict:
-        return {
-            "spearman_uniform": self.spearman_uniform,
-            "spearman_average": self.spearman_average,
-            "kendall": self.kendall,
-            "pearson": self.pearson,
-            "degenerate_source": self.degenerate_source,
-            "degenerate_target": self.degenerate_target,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -400,12 +393,7 @@ class CorrelationReport:
     pairs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": self.edges,
-            "seed": self.seed,
-            "pairs": {label: pm.to_dict() for label, pm in self.pairs.items()},
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
@@ -427,7 +415,7 @@ def full_report(
     seed: int,
     tie_break_replicas: int | None = None,
     *,
-    pairs=tuple(p.label for p in ALL_PAIRS),
+    pairs=PAIR_LABELS,
     measures=MEASURES,
 ) -> CorrelationReport:
     """The requested measures for the requested pairs (default: all of both).
@@ -444,7 +432,7 @@ def full_report(
     before the graph's edge count (ValueError below 2).
     """
     require_tie_break_replicas(tie_break_replicas)
-    pairs = require_known("pairs", pairs, [p.label for p in ALL_PAIRS])
+    pairs = require_known("pairs", pairs, PAIR_LABELS)
     measures = require_known("measures", measures, MEASURES)
     if g.edge_count < 2:
         raise ValueError("full report requires at least 2 edge occurrences")

@@ -18,6 +18,7 @@ from .pmf import ConfigError, JointPmf, Pmf, as_int_array, load_table, table_lin
 __all__ = [
     "DegreeTypePair",
     "ALL_PAIRS",
+    "PAIR_LABELS",
     "EdgeDegreeView",
     "DirectedMultigraph",
     "edges_are_simple",
@@ -67,6 +68,7 @@ ALL_PAIRS = (
     DegreeTypePair("out", "out"),
     DegreeTypePair("in", "in"),
 )
+PAIR_LABELS = tuple(p.label for p in ALL_PAIRS)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .correlations import (
     spearman_average_xy,
     spearman_uniform_xy,
 )
-from .digraph import ALL_PAIRS, DegreeTypePair
+from .digraph import PAIR_LABELS, DegreeTypePair
 # run_consistency reuses its population rho through _average_limit;
 # spearman_average_limit stays importable from this module, where outside
 # code that wraps it looks it up
@@ -91,9 +91,8 @@ __all__ = [
     "summarize_null_model",
 ]
 
-PAIR_LABELS = tuple(p.label for p in ALL_PAIRS)
-NULL_MODEL_MEASURES = ("spearman_uniform", "spearman_average", "kendall")
-CONSISTENCY_MEASURES = ("spearman_uniform", "spearman_average", "kendall")
+# the three rank measures: what the sweeps measure unless told otherwise
+RANK_MEASURES = ("spearman_uniform", "spearman_average", "kendall")
 
 _MODELS = ("cm", "rcm", "ecm")
 
@@ -114,7 +113,7 @@ class ExperimentConfig:
     in_law: str
     seed: int
     pairs: tuple[str, ...] = PAIR_LABELS
-    measures: tuple[str, ...] = NULL_MODEL_MEASURES
+    measures: tuple[str, ...] = RANK_MEASURES
     tie_break_replicas: int | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     jobs: int = 1
@@ -150,7 +149,12 @@ def _require_sizes(sizes, least: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One measure on one generated graph: the null-model sweep row."""
+    """One measure on one generated graph: the null-model sweep row.
+
+    `erased_fraction` is erasure's removed edge occurrences per node,
+    `ledger.total_erased / n` (each one an out-stub and an in-stub), for
+    ecm, and None for cm and rcm; it is not a fraction of the stubs.
+    """
 
     n: int
     replica: int
@@ -449,7 +453,7 @@ def run_consistency(
         table = PairTable(x, y)
         build_s = time.perf_counter() - t0
         rows = []
-        for measure in CONSISTENCY_MEASURES:
+        for measure in RANK_MEASURES:
             t0 = time.perf_counter()
             value = measure_table(
                 table, measure, (seed, size_index, replica), tie_break_replicas
