@@ -61,6 +61,7 @@ from degdep.pmf import (
     spearman_average_limit,
     spearman_population,
 )
+from seeded_outputs import write_wide_joint
 
 GENERATE_LAWS = ("poisson:3", "zeta:2.5")
 GRAPH_LAW = "zeta:2.5"
@@ -70,8 +71,6 @@ RCM_LAW = "poisson:3"
 # seed 8), each timed call repeating all of them
 RCM_MAX_N = 10_000
 RCM_MAX_ATTEMPTS = 30_000
-OFFSETS = 8          # y values per x of the wide joint law
-OFFSET_RANGE = 512   # y - x is drawn from 0..OFFSET_RANGE-1
 PAIRS_PER_X = 25     # sampled pairs per x value for the wide Kendall
 
 
@@ -105,20 +104,6 @@ def source_revision():
     except OSError:
         return None
     return done.stdout.strip() or None
-
-
-def write_wide_joint(path, width, spacing, rng):
-    """Write the consistency-wide joint law to path: x = 0, spacing, ...,
-    (width - 1) * spacing, each with OFFSETS y values x + s for distinct
-    shifts s drawn from 0..OFFSET_RANGE-1, and integer weights 1..16."""
-    xs = np.repeat(np.arange(width) * spacing, OFFSETS)
-    shifts = rng.permuted(np.tile(np.arange(OFFSET_RANGE), (width, 1)), axis=1)
-    ys = xs + shifts[:, :OFFSETS].ravel()
-    ws = rng.integers(1, 17, xs.size)
-    total = int(ws.sum())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, w in zip(xs.tolist(), ys.tolist(), ws.tolist()):
-            fh.write(f"{x}\t{y}\t{w / total!r}\n")
 
 
 # Each group yields, for one size, (fixed fields, {stage: callable}) per row.

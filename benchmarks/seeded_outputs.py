@@ -29,11 +29,12 @@ import tempfile
 
 import numpy as np
 
-from bench_layers import write_wide_joint
 from degdep.cli import main as cli_main
 
 ZETA = ("--out-law", "zeta:2.5", "--in-law", "zeta:2.5")
 POISSON = ("--out-law", "poisson:2", "--in-law", "poisson:2")
+OFFSETS = 8          # y values per x of the wide joint law
+OFFSET_RANGE = 512   # y - x is drawn from 0..OFFSET_RANGE-1
 
 # argv, with {wide} standing for the wide joint file; every output path is
 # relative to the temporary directory
@@ -56,6 +57,21 @@ COMMANDS = (
     ("experiment", "table1", "--sizes", "500,2000", "--replicas", "2", *POISSON,
      "--seed", "9", "-o", "table1.csv"),
 )
+
+
+def write_wide_joint(path, width, spacing, rng):
+    """Write the consistency-wide joint law to path: x = 0, spacing, ...,
+    (width - 1) * spacing, each with OFFSETS y values x + s for distinct
+    shifts s drawn from 0..OFFSET_RANGE-1, and integer weights 1..16.  The
+    layer benchmark's population group writes it with spacing 1."""
+    xs = np.repeat(np.arange(width) * spacing, OFFSETS)
+    shifts = rng.permuted(np.tile(np.arange(OFFSET_RANGE), (width, 1)), axis=1)
+    ys = xs + shifts[:, :OFFSETS].ravel()
+    ws = rng.integers(1, 17, xs.size)
+    total = int(ws.sum())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for x, y, w in zip(xs.tolist(), ys.tolist(), ws.tolist()):
+            fh.write(f"{x}\t{y}\t{w / total!r}\n")
 
 
 def without_runtime(data: bytes) -> bytes:

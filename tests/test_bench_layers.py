@@ -1,14 +1,13 @@
 """The layer benchmark's generate group repeats its counts under one seed,
 and a run stored under a second revision leaves the first one's bytes alone."""
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_layers.py"
-spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
-bench_layers = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_layers)
+# the script imports its sibling seeded_outputs, as it does when run
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import bench_layers  # noqa: E402
 
 TIMINGS = ("seconds", "tracemalloc_peak_bytes", "seconds_per_attempt")
 
