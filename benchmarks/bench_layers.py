@@ -11,9 +11,11 @@ The groups, and what one size builds:
               seeded output of the stage before; at sizes up to 10000 also one
               generate_rcm at poisson:3, with its attempt count.
   measures    one ecm zeta:2.5 graph; per degree-type pair, the PairTable
-              build (edge-degree view included), Kendall, average-rank
-              Spearman, Pearson, one uniform-rank tie-break draw and the exact
-              tie-break mean.
+              build from the graph (PairTable.of_graph, its node-degree
+              compression included), Kendall, average-rank Spearman, Pearson,
+              one uniform-rank tie-break draw and the exact tie-break mean;
+              then one row (pair "all") for the four tables built at once,
+              sharing their edge-end sides (PairTable.of_graph_pairs).
   io          one ecm zeta:2.5 graph; write_edge_list and read_edge_list.
   population  the consistency-wide benchmark workload's joint law with SIZE
               distinct x values (default sizes 400,4000), written as a joint
@@ -143,6 +145,8 @@ def measures_group(n, seed, tmp):
                 "pearson": table.pearson,
                 "spearman_uniform_draw": lambda: table.spearman_uniform(seed),
                 "spearman_uniform_mean": table.spearman_uniform_mean})
+    yield ({"n": n, "law": GRAPH_LAW, "pair": "all", "edges": graph.edge_count},
+           {"tables": lambda: PairTable.of_graph_pairs(graph, ALL_PAIRS)})
 
 
 def io_group(n, seed, tmp):

@@ -122,7 +122,8 @@ class GenerationResult:
 
 
 def _require_degree_law(p: Pmf, name: str) -> None:
-    if np.any(p.support < 0):
+    # the support ascends, so its first value is its least
+    if p.support[0] < 0:
         raise ConfigError(f"{name} must be supported on non-negative integers, "
                           f"got support from {int(p.support[0])}")
 

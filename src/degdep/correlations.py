@@ -152,9 +152,13 @@ class PairTable:
             raise ValueError("x and y must have the same length")
         if x.size == 0:
             raise ValueError("x and y must be nonempty")
-        self.m = int(x.size)
-        self.ux, self.wx, self.cx = _compress(x)
-        self.uy, self.wy, self.cy = _compress(y)
+        self._tabulate(_compress(x), _compress(y))
+
+    def _tabulate(self, x_side: tuple, y_side: tuple) -> None:
+        """Take each side's (ux, wx, cx) from `_compress` and count the cells."""
+        self.ux, self.wx, self.cx = x_side
+        self.uy, self.wy, self.cy = y_side
+        self.m = int(self.cx.size)
         # the cells by _compress's rule, over the key range 0..K_x*K_y-1:
         # bincount when it is at most 2m, otherwise a sort
         kx, ky = self.ux.size, self.uy.size
@@ -170,8 +174,45 @@ class PairTable:
     @classmethod
     def of_graph(cls, g: DirectedMultigraph, pair: DegreeTypePair) -> "PairTable":
         """The table of a graph's endpoint degrees over its edge occurrences."""
-        view = g.edge_degree_view(pair)
-        return cls(view.source_degrees, view.target_degrees)
+        return cls.of_graph_pairs(g, (pair,))[pair]
+
+    @classmethod
+    def of_graph_pairs(cls, g: DirectedMultigraph, pairs) -> dict:
+        """The tables of the given degree-type pairs of a graph, by pair.
+
+        A table's x side depends only on (alpha, source end) and its y side
+        on (beta, target end), so the four pairs read four sides, each
+        built once.  Each degree array is compressed once over the n nodes;
+        a side gathers the small node codes at its edge ends and drops the
+        values no end carries.  Every table equals `PairTable` of the
+        pair's edge-degree view.
+        """
+        g._require_edges()
+        nodes: dict[str, tuple] = {}
+        sides: dict[tuple, tuple] = {}
+
+        def side(kind: str, ends: str) -> tuple:
+            if (kind, ends) not in sides:
+                if kind not in nodes:
+                    uniq, _, codes = _compress(g.degrees(kind))
+                    nodes[kind] = uniq, codes
+                uniq, codes = nodes[kind]
+                codes = codes[g.src if ends == "source" else g.dst]
+                counts = np.bincount(codes, minlength=uniq.size)
+                present = counts > 0
+                if not present.all():
+                    remap = np.cumsum(present) - 1
+                    uniq, counts = uniq[present], counts[present]
+                    codes = remap.astype(np.min_scalar_type(uniq.size - 1))[codes]
+                sides[kind, ends] = uniq, counts, codes
+            return sides[kind, ends]
+
+        tables = {}
+        for pair in pairs:
+            table = cls.__new__(cls)
+            table._tabulate(side(pair.alpha, "source"), side(pair.beta, "target"))
+            tables[pair] = table
+        return tables
 
     @property
     def degenerate_source(self) -> bool:
@@ -436,11 +477,12 @@ def full_report(
     measures = require_known("measures", measures, MEASURES)
     if g.edge_count < 2:
         raise ValueError("full report requires at least 2 edge occurrences")
+    tables = PairTable.of_graph_pairs(g, [p for p in ALL_PAIRS if p.label in pairs])
     report: dict[str, PairMeasures] = {}
     for pair_index, pair in enumerate(ALL_PAIRS):
-        if pair.label not in pairs:
+        if pair not in tables:
             continue
-        table = PairTable.of_graph(g, pair)
+        table = tables[pair]
         values = {
             measure: measure_table(table, measure, (seed, pair_index), tie_break_replicas)
             for measure in measures

@@ -16,11 +16,13 @@ Every cell (size index, replica index) owns RNGs seeded by
 order and sweeps are byte-reproducible (the runtime_ms column is excluded
 from that contract).  Each (graph or sample, pair) is tabulated once and
 every measure read from that table, so a row's runtime_ms is the table
-build plus its own measure.  The uniform-rank Spearman value is by default
-its exact mean over tie-breaks (`PairTable.spearman_uniform_mean`), the
-limit of infinitely many draws; an explicit `tie_break_replicas` count
-averages that many seeded draws instead.  Cells may run concurrently; rows
-are sorted before writing.
+build plus its own measure; a graph's pairs are tabulated together, sharing
+their edge-end sides, and each pair is charged an equal share of that
+build.  The uniform-rank Spearman value is by default its exact mean over
+tie-breaks (`PairTable.spearman_uniform_mean`), the limit of infinitely
+many draws; an explicit `tie_break_replicas` count averages that many
+seeded draws instead.  Cells may run concurrently; rows are sorted before
+writing.
 """
 
 from __future__ import annotations
@@ -370,10 +372,12 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
         erased = (
             result.ledger.total_erased / n if config.model == "ecm" else None
         )
-        for label in config.pairs:
-            t0 = time.perf_counter()
-            table = PairTable.of_graph(result.graph, DegreeTypePair.from_label(label))
-            build_s = time.perf_counter() - t0
+        pairs = [DegreeTypePair.from_label(label) for label in config.pairs]
+        t0 = time.perf_counter()
+        tables = PairTable.of_graph_pairs(result.graph, pairs)
+        build_s = (time.perf_counter() - t0) / len(pairs)
+        for label, pair in zip(config.pairs, pairs):
+            table = tables[pair]
             seed_parts = (config.seed, size_index, replica, pair_index[label])
             for measure in config.measures:
                 t0 = time.perf_counter()

@@ -133,6 +133,7 @@ class Pmf:
     support: np.ndarray
     probs: np.ndarray
     _cum_pad: np.ndarray = field(init=False, repr=False, compare=False)
+    _mean: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a copy, so freezing it leaves the caller's array writable
@@ -154,6 +155,8 @@ class Pmf:
         ):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
+        # once per law: the dot casts the support to a float temporary
+        object.__setattr__(self, "_mean", float(np.dot(support, probs)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Pmf":
@@ -185,7 +188,7 @@ class Pmf:
         return self.cdf(k) + self.cdf(np.asarray(k) - 1 if np.ndim(k) else k - 1)
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
+        return self._mean
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Draw `size` iid values by inverse-cdf lookup; deterministic per rng."""

@@ -1,5 +1,7 @@
 """Configuration-model generators: balancing, pairing, erasure, endpoint laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestSampleBidegree:
     def test_all_zero_sample_rejected(self):
         with pytest.raises(ValueError, match="zero stubs"):
             sample_bidegree(4, point_mass(0), point_mass(0), rng=0)
+
+    def test_small_sample_allocates_nothing_of_the_laws_size(self):
+        # the 1e6-point law's support is 8 MB; a 100-node sample reads its
+        # mean and its least value without a temporary of that size
+        law = parse_law("zeta:2.5")
+        tracemalloc.start()
+        try:
+            sample_bidegree(100, law, law, rng=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_negative_support_rejected(self):
         law = Pmf(np.array([-1, 1]), np.array([0.5, 0.5]))

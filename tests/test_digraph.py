@@ -363,6 +363,15 @@ READER_CASES = {
     "past-int64-negative": "-9223372036854775809\t1\n",
     "past-uint64": "18446744073709551616\t1\n",
     "trailing-comment": "0\t1# c\n1 2  #\n",
+    # at the edge of the whole-buffer parse: the first three take it, the
+    # others miss it by a byte
+    "plain": "0\t1\n1 2\n",
+    "plain-space-separator": "0 1\n",
+    "plain-long-leading-zeros": "0000000000000000000001\t2\n",
+    "near-plain-no-final-newline": "0\t1\n1\t2",
+    "near-plain-empty-target": "1\t\n",
+    "near-plain-leading-tab": "\t1\n2\t3\n",
+    "near-plain-double-tab": "1\t\t2\n",
 }
 
 
@@ -376,6 +385,18 @@ class TestReaderMatchesLineLoop:
         path.write_bytes(READER_CASES[case].encode("utf-8"))
         assert_reads_like_reference(path)
 
+    @pytest.mark.parametrize("case", sorted(c for c in READER_CASES if c.startswith("plain")))
+    def test_plain_files_skip_the_slower_readers(self, case, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        with mock.patch.object(digraph, "load_table", side_effect=AssertionError), \
+                mock.patch.object(digraph, "_parse_edge_lines", side_effect=AssertionError):
+            assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("case", sorted(c for c in READER_CASES if c.startswith("near-plain")))
+    def test_near_plain_files_are_refused(self, case):
+        assert digraph._parse_plain_edges(READER_CASES[case].encode("utf-8")) is None
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_random_lines(self, tmp_path_factory, data):
@@ -386,11 +407,18 @@ class TestReaderMatchesLineLoop:
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge-list text, mostly two ids a line.  Half the files also mix signs,
+    """Edge-list text, mostly two ids a line.  A third of the files are plain
+    'id<TAB or SPACE>id<LF>' lines, most often with a final LF, as the
+    whole-buffer parse takes them.  Of the rest, half also mix signs,
     punctuation, CR, non-ASCII digits, a BOM and NUL into the ids.  Ids have
     at most 5 characters, so every id stays below 2**63, past which the two
     readers stop at different lines; named cases cover that boundary."""
     alphabet = list("0123456789")
+    if draw(st.integers(0, 2)) == 0:
+        ident = st.text(st.sampled_from(alphabet), min_size=1, max_size=5)
+        lines = [draw(ident) + draw(st.sampled_from("\t ")) + draw(ident)
+                 for _ in range(draw(st.integers(0, 5)))]
+        return "\n".join(lines) + draw(st.sampled_from(["\n"] * 4 + [""]))
     if draw(st.booleans()):
         alphabet = alphabet * 4 + list("+-._x#\r") + ["\u0663", "\uff15", "\ufeff", "\x00"]
     ident = st.text(st.sampled_from(alphabet), min_size=1, max_size=5)

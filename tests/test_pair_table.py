@@ -88,6 +88,50 @@ class TestInput:
             PairTable([1, 2], [1])
 
 
+class TestGraphTables:
+    """The tables built from a graph's shared edge-end sides."""
+
+    @staticmethod
+    def graph_with_idle_nodes(rng):
+        """A random multigraph whose nodes are partly idle: some degree
+        values of the nodes occur at neither end of any edge."""
+        n = int(rng.integers(2, 30))
+        active = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        m = int(rng.integers(2, 80))
+        return DirectedMultigraph(n, rng.choice(active, m), rng.choice(active, m))
+
+    def test_equal_to_the_table_of_the_edge_degree_view(self):
+        rng = np.random.default_rng(31)
+        dropped = 0
+        for _ in range(300):
+            g = self.graph_with_idle_nodes(rng)
+            tables = PairTable.of_graph_pairs(g, ALL_PAIRS)
+            assert list(tables) == list(ALL_PAIRS)
+            for pair in ALL_PAIRS:
+                view = g.edge_degree_view(pair)
+                want = vars(PairTable(view.source_degrees, view.target_degrees))
+                got = vars(tables[pair])
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    if isinstance(value, np.ndarray):
+                        assert got[name].dtype == value.dtype, name
+                        assert np.array_equal(got[name], value), name
+                    else:
+                        assert got[name] == value, name
+                dropped += np.unique(g.degrees(pair.alpha)).size - tables[pair].ux.size
+        assert dropped > 0
+
+    def test_one_pair_reads_only_its_sides(self):
+        g = DirectedMultigraph.from_edge_list([(0, 1), (0, 2), (1, 2)])
+        tables = PairTable.of_graph_pairs(g, ALL_PAIRS[:1])
+        assert list(tables) == [ALL_PAIRS[0]]
+        assert tables[ALL_PAIRS[0]].kendall() == PairTable([2, 2, 1], [1, 2, 2]).kendall()
+
+    def test_rejects_a_graph_without_edges(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            PairTable.of_graph_pairs(DirectedMultigraph(3, [], []), ALL_PAIRS)
+
+
 class TestConcordance:
     @given(pair_lists, st.booleans())
     @settings(max_examples=200, deadline=None)
