@@ -146,6 +146,9 @@ class Pmf:
         probs = _normalize(self.probs, "probs")
         if probs.size != support.size:
             raise ValueError("support and probs must have the same length")
+        # once per law, before the cdf is built: the dot casts the support
+        # to a float temporary
+        object.__setattr__(self, "_mean", float(np.dot(support, probs)))
         cum = np.cumsum(probs)
         cum[-1] = 1.0
         for attr, val in (
@@ -155,8 +158,6 @@ class Pmf:
         ):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
-        # once per law: the dot casts the support to a float temporary
-        object.__setattr__(self, "_mean", float(np.dot(support, probs)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Pmf":

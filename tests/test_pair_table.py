@@ -93,8 +93,8 @@ class TestGraphTables:
 
     @staticmethod
     def graph_with_idle_nodes(rng):
-        """A random multigraph whose nodes are partly idle: some degree
-        values of the nodes occur at neither end of any edge."""
+        """A random multigraph whose edges use only some of its nodes, so
+        that some degree values of the nodes may occur at no edge end."""
         n = int(rng.integers(2, 30))
         active = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         m = int(rng.integers(2, 80))
@@ -121,7 +121,7 @@ class TestGraphTables:
                 dropped += np.unique(g.degrees(pair.alpha)).size - tables[pair].ux.size
         assert dropped > 0
 
-    def test_one_pair_reads_only_its_sides(self):
+    def test_one_pair_gives_one_table(self):
         g = DirectedMultigraph.from_edge_list([(0, 1), (0, 2), (1, 2)])
         tables = PairTable.of_graph_pairs(g, ALL_PAIRS[:1])
         assert list(tables) == [ALL_PAIRS[0]]
