@@ -31,6 +31,7 @@ from .experiments import (
     BUILTIN_JOINTS,
     RANK_MEASURES,
     ExperimentConfig,
+    _cell_to_text,
     builtin_joint,
     generate_graph,
     run_consistency,
@@ -195,13 +196,9 @@ def _cmd_measure(args) -> int:
         lines = ["pair,measure,value,defined"]
         for label, entry in payload["pairs"].items():
             for key, value in entry.items():
-                if key.startswith("degenerate_"):
-                    continue
-                defined = value is not None
-                lines.append(
-                    f"{label},{key},{'' if value is None else repr(value)},"
-                    f"{'true' if defined else 'false'}"
-                )
+                if not key.startswith("degenerate_"):
+                    cells = (label, key, value, value is not None)
+                    lines.append(",".join(_cell_to_text(cell) for cell in cells))
         text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

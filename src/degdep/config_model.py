@@ -152,8 +152,10 @@ def sample_bidegree(n: int, out_law: Pmf, in_law: Pmf, rng) -> BiDegreeRealizati
             stacklevel=2,
         )
     rng = np.random.default_rng(rng)
-    out_stubs = out_law.sample(rng, n).copy()
-    in_stubs = in_law.sample(rng, n).copy()
+    # each sample is a fresh array (Pmf.sample indexes its support), so the
+    # balancing below may add to it in place
+    out_stubs = out_law.sample(rng, n)
+    in_stubs = in_law.sample(rng, n)
     deficit = int(in_stubs.sum() - out_stubs.sum())
     if deficit > 0:
         np.add.at(out_stubs, rng.integers(0, n, deficit), 1)

@@ -18,7 +18,6 @@ end.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -118,7 +117,13 @@ def _pair_count(counts: np.ndarray) -> int:
 
 def _doubled_ranks_by_value(counts: np.ndarray) -> np.ndarray:
     """2 * average rank per distinct value, given the counts in ascending
-    value order: 1 + 2*(#greater) + (#equal)."""
+    value order: 1 + 2*(#greater) + (#equal).
+
+    Rank 1 goes to the largest value, so the ranks descend as the values
+    ascend.  Every caller ranks both sides this way; ranking both from the
+    smallest value instead negates both centered ranks, which leaves every
+    product, and so every measure, unchanged.
+    """
     greater = counts.sum() - np.cumsum(counts)
     return 1 + 2 * greater + counts
 
@@ -311,7 +316,9 @@ class PairTable:
         self._require_pairs()
         m = self.m
         rng = _as_rng(rng)
-        centered = np.arange(m - 1, -m, -2)  # 2R - (m+1) in ascending value order
+        # 2R - (m+1) for the occurrences in ascending value order, with rank
+        # R = 1 at the largest value, as in _doubled_ranks_by_value
+        centered = np.arange(m - 1, -m, -2)
         da = np.empty(m, dtype=np.int64)
         da[_tie_broken_order(self.cx, rng)] = centered
         db = np.empty(m, dtype=np.int64)
@@ -420,9 +427,6 @@ class PairMeasures:
     degenerate_source: bool
     degenerate_target: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -435,20 +439,6 @@ class CorrelationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrelationReport":
-        pairs = {
-            label: PairMeasures(**entry) for label, entry in data["pairs"].items()
-        }
-        return cls(n=data["n"], edges=data["edges"], seed=data["seed"], pairs=pairs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorrelationReport":
-        return cls.from_dict(json.loads(text))
 
 
 def full_report(

@@ -234,13 +234,13 @@ def edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
     return not np.any(keys[1:] == keys[:-1])
 
 
-def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
+def read_edge_list(path) -> DirectedMultigraph:
     """Read a graph from text: one 'src<TAB>dst' occurrence per line.
 
     Ids are integers as Python's int() reads them, with 0 <= id < 2**63, and
     any whitespace separates the two.  Blank lines and '#' comments are
-    ignored; repeated lines are multi-edges.  Malformed lines are rejected
-    with their line number.
+    ignored; repeated lines are multi-edges.  The node count is the largest
+    id plus one.  Malformed lines are rejected with their line number.
     """
     with open(path, "rb") as fh:
         edges = _parse_plain_edges(fh.read())
@@ -253,8 +253,7 @@ def read_edge_list(path, n: int | None = None) -> DirectedMultigraph:
             edges = load_table(fh, np.int64)
         if edges is None or edges.shape[1] != 2 or (edges.size and edges.min() < 0):
             edges = _parse_edge_lines(path)
-    if n is None:
-        n = int(edges.max(initial=-1)) + 1
+    n = int(edges.max(initial=-1)) + 1
     return DirectedMultigraph(n, edges[:, 0], edges[:, 1])
 
 

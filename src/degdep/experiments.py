@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -125,13 +126,8 @@ class ExperimentConfig:
         any graph is generated."""
         if self.model not in _MODELS:
             raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
-        sizes = _require_sizes(self.sizes, 1)
-        if list(sizes) != sorted(sizes):
-            raise ConfigError(f"sizes must be ascending, got {sizes}")
-        require_at_least("replicas", self.replicas)
-        require_tie_break_replicas(self.tie_break_replicas)
+        sizes = _check_grid(self.sizes, 1, self.replicas, self.tie_break_replicas, self.jobs)
         require_at_least("max_attempts", self.max_attempts)
-        require_at_least("jobs", self.jobs)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "pairs", require_known("pairs", self.pairs, PAIR_LABELS))
         object.__setattr__(self, "measures", require_known("measures", self.measures, MEASURES))
@@ -142,10 +138,19 @@ class ExperimentConfig:
         return parse_law(self.out_law), parse_law(self.in_law)
 
 
-def _require_sizes(sizes, least: int) -> tuple[int, ...]:
+def _check_grid(sizes, least: int, replicas: int, tie_break_replicas: int | None,
+                jobs: int) -> tuple[int, ...]:
+    """The sizes as a tuple of ints, once every sweep-grid argument has
+    passed its check (ConfigError): sizes of at least `least`, ascending
+    (repeats allowed), and the replica, tie-break and job counts."""
     sizes = tuple(int(s) for s in sizes)
     if not sizes or min(sizes) < least:
         raise ConfigError(f"sizes must all be >= {least}, got {sizes}")
+    if list(sizes) != sorted(sizes):
+        raise ConfigError(f"sizes must be ascending, got {sizes}")
+    require_at_least("replicas", replicas)
+    require_tie_break_replicas(tie_break_replicas)
+    require_at_least("jobs", jobs)
     return sizes
 
 
@@ -199,9 +204,6 @@ class EndpointLawRow:
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
-_OPTIONAL_FLOATS = {"value", "erased_fraction", "abs_error"}
-
-
 def _cell_to_text(value) -> str:
     if value is None:
         return ""
@@ -212,12 +214,22 @@ def _cell_to_text(value) -> str:
     return str(value)
 
 
-def _text_to_cell(name: str, text: str, target_type):
-    if name in _OPTIONAL_FLOATS and text == "":
+def _text_to_cell(text: str, hint):
+    """The inverse of :func:`_cell_to_text` for a field annotated `hint`:
+    bool, int, float or str, or one of them `| None`."""
+    options = typing.get_args(hint) or (hint,)
+    if text == "" and type(None) in options:
         return None
-    if target_type is bool:
-        return text == "true"
-    return target_type(text)
+    kind = next(option for option in options if option is not type(None))
+    return text == "true" if kind is bool else kind(text)
+
+
+def _write_csv(path, names, records) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for record in records:
+            writer.writerow([_cell_to_text(value) for value in record])
 
 
 def write_rows_csv(rows, path) -> None:
@@ -226,22 +238,13 @@ def write_rows_csv(rows, path) -> None:
     if not rows:
         raise ValueError("no rows to write")
     names = [f.name for f in fields(rows[0])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([_cell_to_text(getattr(row, name)) for name in names])
-
-
-_ROW_TYPES = {"n": int, "replica": int, "pair": str, "measure": str, "side": str,
-              "value": float, "target": float, "abs_error": float,
-              "defined": bool, "runtime_ms": float, "attempts": int,
-              "erased_fraction": float, "tv_distance": float}
+    _write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
 
 
 def read_rows_csv(path, row_cls=ExperimentRow):
     """Parse a CSV written by :func:`write_rows_csv` back into row objects."""
     out = []
+    hints = typing.get_type_hints(row_cls)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -250,11 +253,15 @@ def read_rows_csv(path, row_cls=ExperimentRow):
             raise ValueError(f"{path}: header {header} does not match {expected}")
         for record in reader:
             kwargs = {
-                name: _text_to_cell(name, text, _ROW_TYPES[name])
+                name: _text_to_cell(text, hints[name])
                 for name, text in zip(header, record)
             }
             out.append(row_cls(**kwargs))
     return out
+
+
+# the columns of a summary entry, in the order the summary CSV writes them
+_SUMMARY_COLUMNS = ("n", "pair", "measure", "replicas", "defined", "mean", "std", "mean_abs")
 
 
 def summarize_null_model(rows) -> list[dict]:
@@ -269,30 +276,22 @@ def summarize_null_model(rows) -> list[dict]:
     summary = []
     for key in sorted(totals):
         vals = groups.get(key, [])
-        n, pair, measure = key
-        entry = {
-            "n": n,
-            "pair": pair,
-            "measure": measure,
-            "replicas": totals[key],
-            "defined": len(vals),
-            "mean": float(np.mean(vals)) if vals else None,
-            "std": float(np.std(vals)) if vals else None,
-            "mean_abs": float(np.mean(np.abs(vals))) if vals else None,
-        }
-        summary.append(entry)
+        values = (
+            *key,
+            totals[key],
+            len(vals),
+            float(np.mean(vals)) if vals else None,
+            float(np.std(vals)) if vals else None,
+            float(np.mean(np.abs(vals))) if vals else None,
+        )
+        summary.append(dict(zip(_SUMMARY_COLUMNS, values)))
     return summary
 
 
 def write_summary_csv(rows, path) -> None:
     """Write the per-cell summary block produced by :func:`summarize_null_model`."""
     summary = summarize_null_model(rows)
-    names = ["n", "pair", "measure", "replicas", "defined", "mean", "std", "mean_abs"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for entry in summary:
-            writer.writerow([_cell_to_text(entry[name]) for name in names])
+    _write_csv(path, _SUMMARY_COLUMNS, (entry.values() for entry in summary))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +299,17 @@ def write_summary_csv(rows, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_cells(cells, worker, jobs: int):
-    if jobs <= 1:
-        results = [worker(cell) for cell in cells]
+def _sweep(sizes, replicas: int, jobs: int, cell_rows) -> list:
+    """Every row of `cell_rows(size_index, n, replica)` over the size x
+    replica grid, sorted.  The cells run in order with one job and on a
+    pool of `jobs` threads otherwise; their rows do not depend on which."""
+    cells = [(si, n, r) for si, n in enumerate(sizes) for r in range(replicas)]
+    if jobs == 1:
+        results = [cell_rows(*cell) for cell in cells]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, cells))
-    rows = [row for cell_rows in results for row in cell_rows]
+            results = list(pool.map(lambda cell: cell_rows(*cell), cells))
+    rows = [row for rows_of_cell in results for row in rows_of_cell]
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -351,9 +354,7 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
     """
     pair_index = {label: i for i, label in enumerate(PAIR_LABELS)}
 
-    def worker(cell):
-        size_index, replica = cell
-        n = config.sizes[size_index]
+    def cell_rows(size_index, n, replica):
         gen_seed = child_seed(config.seed, size_index, replica, "generate")
         rows = []
         try:
@@ -393,8 +394,7 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
                 )
         return rows
 
-    cells = [(si, r) for si in range(len(config.sizes)) for r in range(config.replicas)]
-    return _run_cells(cells, worker, config.jobs)
+    return _sweep(config.sizes, config.replicas, config.jobs, cell_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +427,16 @@ def run_consistency(
 ) -> list[ConsistencyRow]:
     """Sample iid pairs from `joint` and compare estimators with exact targets.
 
-    Rejects (ConfigError) a size below 2, a replica, tie-break or job count
-    below 1, and joints with a point-mass marginal (every target is then
-    degenerate).  Targets: the population Spearman rho for uniform-rank
-    ranks, its S-factor-rescaled version for average ranks, and the
-    population Kendall tau.  The uniform-rank value is the exact tie-break
-    mean when `tie_break_replicas` is None (the default), and otherwise the
-    mean of that many seeded draws.
+    Rejects (ConfigError) a size below 2, sizes out of ascending order
+    (repeats are allowed), a replica, tie-break or job count below 1, and
+    joints with a point-mass marginal (every target is then degenerate).
+    Targets: the population Spearman rho for uniform-rank ranks, its
+    S-factor-rescaled version for average ranks, and the population Kendall
+    tau.  The uniform-rank value is the exact tie-break mean when
+    `tie_break_replicas` is None (the default), and otherwise the mean of
+    that many seeded draws.
     """
-    sizes = _require_sizes(sizes, 2)
-    require_at_least("replicas", replicas)
-    require_tie_break_replicas(tie_break_replicas)
-    require_at_least("jobs", jobs)
+    sizes = _check_grid(sizes, 2, replicas, tie_break_replicas, jobs)
     rho = spearman_population(joint)
     targets = {
         "spearman_uniform": rho,
@@ -446,9 +444,7 @@ def run_consistency(
         "kendall": kendall_population(joint),
     }
 
-    def worker(cell):
-        size_index, replica = cell
-        n = sizes[size_index]
+    def cell_rows(size_index, n, replica):
         sample_rng = np.random.default_rng(
             child_seed(seed, size_index, replica, "consistency-sample")
         )
@@ -475,8 +471,7 @@ def run_consistency(
             )
         return rows
 
-    cells = [(si, r) for si in range(len(sizes)) for r in range(replicas)]
-    return _run_cells(cells, worker, jobs)
+    return _sweep(sizes, replicas, jobs, cell_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +494,7 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
         for label in config.pairs
     }
 
-    def worker(cell):
-        size_index, replica = cell
-        n = config.sizes[size_index]
+    def cell_rows(size_index, n, replica):
         gen_seed = child_seed(config.seed, size_index, replica, "generate")
         result = _generate(config, n, gen_seed)
         rows = []
@@ -526,5 +519,4 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
             )
         return rows
 
-    cells = [(si, r) for si in range(len(config.sizes)) for r in range(config.replicas)]
-    return _run_cells(cells, worker, config.jobs)
+    return _sweep(config.sizes, config.replicas, config.jobs, cell_rows)

@@ -316,6 +316,7 @@ EXIT_CODES = {
     "consistency-replicas-0": ([*_CONS, "--sizes", "100", "--replicas", "0"], 1),
     "consistency-tie-break-replicas-0": (
         [*_CONS, "--sizes", "100", "--replicas", "1", "--tie-break-replicas", "0"], 1),
+    "consistency-descending-sizes": ([*_CONS, "--sizes", "1000,100", "--replicas", "1"], 1),
     "consistency-zero-jobs": ([*_CONS, "--sizes", "100", "--replicas", "1", "--jobs", "0"], 1),
     "consistency-degenerate-joint": (
         ["experiment", "consistency", "--joint", "{constant_x}", "--seed", "1",

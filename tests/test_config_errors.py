@@ -86,6 +86,8 @@ CHECKS = {
     "config-negative-support": (lambda: config(in_law="uniform:-1..1"),
                                 "in_law must be supported on non-negative integers"),
     "consistency-sizes": (lambda: consistency(sizes=(1,)), r"sizes must all be >= 2, got \(1,\)"),
+    "consistency-descending": (lambda: consistency(sizes=(1000, 100)),
+                               r"sizes must be ascending, got \(1000, 100\)"),
     "consistency-replicas": (lambda: consistency(replicas=0), "replicas must be >= 1, got 0"),
     "consistency-tie-break": (lambda: consistency(tie_break_replicas=0),
                               "tie_break_replicas must be >= 1, got 0"),

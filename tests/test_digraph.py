@@ -215,7 +215,7 @@ class TestEdgeListFiles:
         g = random_multigraph(rng)
         path = tmp_path / "graph.tsv"
         write_edge_list(g, path)
-        h = read_edge_list(path, n=g.n)
+        h = read_edge_list(path)
         pairs_g = sorted(zip(g.src.tolist(), g.dst.tolist()))
         pairs_h = sorted(zip(h.src.tolist(), h.dst.tolist()))
         assert pairs_g == pairs_h
@@ -465,7 +465,7 @@ class TestWriterMatchesFormat:
         path = tmp_path / "graph.tsv"
         write_edge_list(g, path)
         assert path.read_bytes() == edge_lines_reference(g.src, g.dst)
-        h = read_edge_list(path, n=g.n)
+        h = read_edge_list(path)
         assert np.array_equal(h.src, g.src) and np.array_equal(h.dst, g.dst)
 
 

@@ -1,5 +1,7 @@
 """Experiment sweeps: seed fan-out, CSV round-trips, determinism, summaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,11 @@ class TestConfigValidation:
             )
 
 
+def without_runtime(rows) -> list:
+    """The rows with runtime_ms zeroed: every column a seed fixes."""
+    return [replace(row, runtime_ms=0.0) for row in rows]
+
+
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
         model="ecm", sizes=(60, 120), replicas=3,
@@ -103,8 +110,16 @@ class TestNullModelSweep:
     def test_jobs_do_not_change_rows(self):
         rows_a = run_null_model(small_config())
         rows_b = run_null_model(small_config(jobs=4))
-        strip = lambda r: (r.n, r.replica, r.pair, r.measure, r.value)
-        assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
+        assert without_runtime(rows_a) == without_runtime(rows_b)
+
+    def test_pair_subset_keeps_each_pairs_draws(self):
+        # a pair's tie-break draws are seeded by its index among all pairs,
+        # not among the pairs asked for
+        everything = run_null_model(small_config(tie_break_replicas=2))
+        in_in = run_null_model(small_config(tie_break_replicas=2, pairs=("in-in",)))
+        assert len(in_in) == 2 * 3 * 3
+        assert without_runtime(in_in) == without_runtime(
+            [row for row in everything if row.pair == "in-in"])
 
     def test_generation_failures_become_undefined_rows(self):
         config = small_config(model="rcm", sizes=(200,), replicas=2,
@@ -176,6 +191,11 @@ class TestNullModelSweep:
         text = (tmp_path / "summary.csv").read_text()
         assert text.splitlines()[0] == "n,pair,measure,replicas,defined,mean,std,mean_abs"
 
+    def test_empty_summary_writes_its_header(self, tmp_path):
+        write_summary_csv([], tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_text() == (
+            "n,pair,measure,replicas,defined,mean,std,mean_abs\n")
+
 
 class TestConsistencySweep:
     def test_targets_and_errors(self):
@@ -206,6 +226,19 @@ class TestConsistencySweep:
             assert row.value == PairTable(x, y).spearman_uniform_mean()
             checked += 1
         assert checked == 2 * 3
+
+    def test_jobs_do_not_change_rows(self):
+        rows = [
+            run_consistency(builtin_joint("bernoulli-product"), sizes=(50, 400), replicas=3,
+                            seed=6, tie_break_replicas=2, jobs=jobs)
+            for jobs in (1, 3)
+        ]
+        assert without_runtime(rows[0]) == without_runtime(rows[1])
+
+    def test_repeated_sizes_accepted(self):
+        rows = run_consistency(builtin_joint("bernoulli-product"), sizes=(50, 50),
+                               replicas=1, seed=6)
+        assert [row.n for row in rows] == [50] * 2 * 3
 
     def test_error_shrinks_with_size(self):
         joint = builtin_joint("bernoulli-equal")
@@ -260,6 +293,15 @@ class TestEndpointLawSweep:
         rows = run_endpoint_laws(config)
         assert len(rows) == 2 * 4 * 2  # replicas x pairs x sides
         assert all(r.tv_distance == 0.0 for r in rows)
+
+    def test_jobs_do_not_change_rows(self):
+        rows = [
+            run_endpoint_laws(ExperimentConfig(
+                model="cm", sizes=(50, 200), replicas=3,
+                out_law="poisson:2", in_law="poisson:2", seed=6, jobs=jobs))
+            for jobs in (1, 3)
+        ]
+        assert without_runtime(rows[0]) == without_runtime(rows[1])
 
     def test_tv_moderate_at_small_n(self, tmp_path):
         config = ExperimentConfig(
