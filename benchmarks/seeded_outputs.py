@@ -95,8 +95,11 @@ def run_commands(wide):
             sys.exit(f"degdep {' '.join(argv)} exited {code}")
 
 
-def main():
+def digest_lines():
+    """Run every command in a temporary directory and return one
+    `sha256  file` line per output, sorted by file name."""
     cwd = os.getcwd()
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         wide = os.path.join(tmp, "wide-joint.tsv")
         # 400 x values 1000 apart
@@ -113,7 +116,13 @@ def main():
                 data = fh.read()
             if name.endswith(".csv"):
                 data = without_runtime(data)
-            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+            lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    return lines
+
+
+def main():
+    for line in digest_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .digraph import (
     ALL_PAIRS,
     DegreeTypePair,
     DirectedMultigraph,
-    EdgeDegreeView,
     read_edge_list,
     write_edge_list,
 )

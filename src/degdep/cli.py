@@ -22,8 +22,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config_model import DEFAULT_MAX_ATTEMPTS, GenerationError
 from .correlations import MEASURES, full_report
 from .digraph import PAIR_LABELS, read_edge_list, write_edge_list
@@ -150,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     result = generate_graph(args.model, args.n, parse_law(args.out_law),
-                            parse_law(args.in_law), np.random.default_rng(args.seed),
-                            args.max_attempts)
+                            parse_law(args.in_law), args.seed, args.max_attempts)
     write_edge_list(result.graph, args.output)
     meta = {
         "model": args.model,

@@ -1,10 +1,10 @@
-"""Directed multigraph container with degree bookkeeping and edge sampling.
+"""Directed multigraph container with degree bookkeeping and edge-list I/O.
 
 Edges are stored occurrence-expanded (one entry per edge occurrence, so a
 k-fold multi-edge appears k times); all dependency measures are sums over
 edge occurrences and the flat layout keeps those sums cache-friendly at
 millions of edges.  Degrees are tallied once at construction.  Graphs are
-immutable after construction; sampling takes a caller-owned RNG.
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import ConfigError, JointPmf, Pmf, as_int_array, load_table, table_lines
+from .pmf import ConfigError, Pmf, as_int_array, load_table, table_lines
 
 __all__ = [
     "DegreeTypePair",
     "ALL_PAIRS",
     "PAIR_LABELS",
-    "EdgeDegreeView",
     "DirectedMultigraph",
     "edges_are_simple",
     "read_edge_list",
@@ -74,18 +73,6 @@ ALL_PAIRS = (
 PAIR_LABELS = tuple(p.label for p in ALL_PAIRS)
 
 
-@dataclass(frozen=True)
-class EdgeDegreeView:
-    """Per-edge-occurrence degree pairs (source-side degree, target-side degree)."""
-
-    pair: DegreeTypePair
-    source_degrees: np.ndarray
-    target_degrees: np.ndarray
-
-    def __len__(self) -> int:
-        return self.source_degrees.size
-
-
 @dataclass(frozen=True, eq=False)
 class DirectedMultigraph:
     """Directed multigraph over nodes 0..n-1 with self-loops and multi-edges.
@@ -125,8 +112,7 @@ class DirectedMultigraph:
             raise ValueError(
                 f"degree arrays for {n} nodes do not fit in memory (largest node id {largest})"
             ) from None
-        for attr, val in (("n", n),):
-            object.__setattr__(self, attr, val)
+        object.__setattr__(self, "n", n)
         for attr, val in (
             ("src", src),
             ("dst", dst),
@@ -165,33 +151,9 @@ class DirectedMultigraph:
         if self.edge_count == 0:
             raise ValueError("operation requires a graph with at least one edge")
 
-    def sample_edge(self, rng) -> tuple[int, int]:
-        """One edge occurrence uniformly at random (multiplicity-weighted)."""
-        self._require_edges()
-        rng = np.random.default_rng(rng)
-        i = int(rng.integers(0, self.edge_count))
-        return int(self.src[i]), int(self.dst[i])
-
-    def edge_degree_view(self, pair: DegreeTypePair) -> EdgeDegreeView:
-        """Degree pairs at the two ends of every edge occurrence."""
-        return EdgeDegreeView(
-            pair=pair,
-            source_degrees=self.degrees(pair.alpha)[self.src],
-            target_degrees=self.degrees(pair.beta)[self.dst],
-        )
-
-    def empirical_edge_joint(self, pair: DegreeTypePair) -> JointPmf:
-        """Joint law of the endpoint degrees of a uniformly sampled edge.
-
-        Mass at (k, l) is the fraction of edge occurrences whose source-side
-        degree is k and target-side degree is l; built from integer counts
-        and converted to probabilities at the end.
-        """
-        self._require_edges()
-        view = self.edge_degree_view(pair)
-        keys = np.stack([view.source_degrees, view.target_degrees], axis=1)
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
-        return JointPmf(uniq[:, 0], uniq[:, 1], counts / self.edge_count)
+    def edge_degree_view(self, pair: DegreeTypePair) -> tuple[np.ndarray, np.ndarray]:
+        """The (source-side, target-side) degrees of every edge occurrence."""
+        return self.degrees(pair.alpha)[self.src], self.degrees(pair.beta)[self.dst]
 
     def empirical_marginal(self, side: str, degree_type: str) -> Pmf:
         """Law of one endpoint degree of a uniformly sampled edge.
@@ -209,17 +171,6 @@ class DirectedMultigraph:
         values = self.degrees(degree_type)[nodes]
         uniq, counts = np.unique(values, return_counts=True)
         return Pmf(uniq, counts / self.edge_count)
-
-    def node_degree_pmf(self, degree_type: str) -> Pmf:
-        """Empirical law of the node degrees (every node weighted 1/n)."""
-        if self.n == 0:
-            raise ValueError("graph has no nodes")
-        uniq, counts = np.unique(self.degrees(degree_type), return_counts=True)
-        return Pmf(uniq, counts / self.n)
-
-    def is_simple(self) -> bool:
-        """True iff the graph has no self-loops and no repeated (v, w) edge."""
-        return edges_are_simple(self.src, self.dst, self.n)
 
 
 def edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:

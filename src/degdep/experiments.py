@@ -331,7 +331,9 @@ def generate_graph(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> GenerationResult:
     """One graph of the named configuration model; `max_attempts` is used
-    by rcm only."""
+    by rcm only.  `rng` is a Generator or a seed, which must be >= 0."""
+    if isinstance(rng, int):
+        require_at_least("seed", rng, 0)
     if model == "cm":
         return generate_cm(n, out_law, in_law, rng)
     if model == "rcm":
@@ -342,8 +344,7 @@ def generate_graph(
 
 
 def _generate(config: ExperimentConfig, n: int, gen_seed: int) -> GenerationResult:
-    return generate_graph(config.model, n, *config.laws(), np.random.default_rng(gen_seed),
-                          config.max_attempts)
+    return generate_graph(config.model, n, *config.laws(), gen_seed, config.max_attempts)
 
 
 def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:

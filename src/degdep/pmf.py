@@ -71,14 +71,17 @@ def require_at_least(name: str, value: int, least: int = 1) -> None:
 
 
 def require_known(name: str, given, known) -> tuple:
-    """The given labels as a tuple; ConfigError when there are none or one
-    is not among `known`."""
+    """The given labels as a tuple; ConfigError when there are none, one is
+    not among `known`, or one is repeated."""
     given = tuple(given)
     if not given:
         raise ConfigError(f"{name} must name at least one of {', '.join(known)}, got none")
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise ConfigError(f"unknown {name}: {unknown}; known: {', '.join(known)}")
+    repeated = sorted({label for label in given if given.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"repeated {name}: {repeated}")
     return given
 
 
@@ -159,15 +162,6 @@ class Pmf:
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Pmf":
-        """Build from an iterable of (value, probability) pairs or a dict."""
-        items = sorted(pairs.items() if isinstance(pairs, dict) else pairs)
-        values = [v for v, _ in items]
-        if len(set(values)) != len(values):
-            raise ValueError("duplicate support values")
-        return cls(np.array(values), np.array([p for _, p in items]))
-
     @property
     def is_point_mass(self) -> bool:
         return self.support.size == 1
@@ -237,14 +231,6 @@ class JointPmf:
         xs = np.array([k for (k, _), _ in items])
         ys = np.array([l for (_, l), _ in items])
         probs = np.array([p for _, p in items])
-        return cls(xs, ys, probs)
-
-    @classmethod
-    def product(cls, px: Pmf, py: Pmf) -> "JointPmf":
-        """Independent product joint of two marginal laws."""
-        xs = np.repeat(px.support, py.support.size)
-        ys = np.tile(py.support, px.support.size)
-        probs = np.outer(px.probs, py.probs).ravel()
         return cls(xs, ys, probs)
 
     def marginal_x(self) -> Pmf:

@@ -58,10 +58,10 @@ def uniform_mean_rank_numerator(g: DirectedMultigraph, pair: DegreeTypePair) -> 
     """sum (2Ra - (m+1))(2Rb - (m+1)) over the edge occurrences, with Ra, Rb
     the average ranks of their endpoint degrees: the exact tie-break mean of
     the uniform-rank Spearman is 3 times this over m^3 - m."""
-    view = g.edge_degree_view(pair)
-    m = view.source_degrees.size
-    da = average_ranks_doubled(view.source_degrees) - (m + 1)
-    db = average_ranks_doubled(view.target_degrees) - (m + 1)
+    x, y = g.edge_degree_view(pair)
+    m = x.size
+    da = average_ranks_doubled(x) - (m + 1)
+    db = average_ranks_doubled(y) - (m + 1)
     return sum(map(operator.mul, da.tolist(), db.tolist()))
 
 
@@ -106,9 +106,9 @@ def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> 
     marginals, evaluated at the sampled edge's degrees; integer counts and
     one exact rational division at the end.
     """
-    view = g.edge_degree_view(pair)
-    sfa = empirical_tie_aware_int(view.source_degrees)
-    sfb = empirical_tie_aware_int(view.target_degrees)
+    x, y = g.edge_degree_view(pair)
+    sfa = empirical_tie_aware_int(x)
+    sfb = empirical_tie_aware_int(y)
     total = sum(map(operator.mul, sfa.tolist(), sfb.tolist()))
     return float(Fraction(3 * total, sfa.size**3) - 3)
 
@@ -121,9 +121,9 @@ def kendall_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> f
     2 (N_C - N_D) / m^2, the pair estimator with an occurrence-squared
     denominator.
     """
-    view = g.edge_degree_view(pair)
-    ux, ix = np.unique(view.source_degrees, return_inverse=True)
-    uy, iy = np.unique(view.target_degrees, return_inverse=True)
+    x, y = g.edge_degree_view(pair)
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
     grid = np.zeros((ux.size, uy.size), dtype=np.int64)
     np.add.at(grid, (ix, iy), 1)
     # below[i, j] counts the occurrences with x index < i and y index < j;

@@ -9,6 +9,7 @@ import pytest
 
 from degdep.cli import main
 from degdep.correlations import PairTable
+from degdep.digraph import edges_are_simple, read_edge_list
 
 
 def run_cli(*argv):
@@ -28,9 +29,8 @@ class TestGenerate:
         meta = json.loads((tmp_path / "g.tsv.meta.json").read_text())
         assert meta["model"] == "ecm"
         assert meta["edges"] + meta["ledger"]["total_erased"] == meta["bidegree"]["total_stubs"]
-        from degdep import read_edge_list
-
-        assert read_edge_list(out).is_simple()
+        g = read_edge_list(out)
+        assert edges_are_simple(g.src, g.dst, g.n)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = (
@@ -284,6 +284,9 @@ EXIT_CODES = {
     "generate-rcm-exhausted": (
         ["generate", "--model", "rcm", "--n", "3000", "--out-law", "zeta:2.1",
          "--in-law", "zeta:2.1", "--seed", "1", "--max-attempts", "10"], 3),
+    # numpy's own refusal of a negative seed is a plain ValueError
+    "generate-negative-seed": (["generate", "--model", "cm", "--n", "10", *_LAWS,
+                                "--seed", "-1"], 1),
     "generate-unwritable": (
         ["generate", "--model", "cm", "--n", "10", *_LAWS, "--seed", "1",
          "-o", "{missing}/g.tsv"], 2),
@@ -304,6 +307,9 @@ EXIT_CODES = {
     "null-model-empty-pairs": ([*_NULL, "--replicas", "1", "--pairs", ","], 1),
     "null-model-empty-measures": ([*_NULL, "--replicas", "1", "--measures", ","], 1),
     "null-model-unknown-measure": ([*_NULL, "--replicas", "1", "--measures", "tau"], 1),
+    # a repeated label would write the same rows twice
+    "null-model-repeated-labels": ([*_NULL, "--replicas", "1", "--pairs", "out-in,out-in",
+                                    "--measures", "kendall,kendall"], 1),
     "null-model-bad-law": (
         ["experiment", "null-model", "--model", "cm", "--sizes", "50", "--replicas", "1",
          "--out-law", "cauchy:1", "--in-law", "poisson:2", "--seed", "1"], 1),
@@ -349,6 +355,8 @@ EXIT_MESSAGES = {
     "measure-id-past-int64": ":1: node id out of range",
     "measure-id-too-large-for-memory": "largest node id 1000000000000",
     "measure-id-past-address-space": "largest node id 9223372036854775807",
+    "generate-negative-seed": "seed must be >= 0, got -1",
+    "null-model-repeated-labels": "repeated pairs: ['out-in']",
     "consistency-nan-joint": "probs must be finite",
     "consistency-joint-value-2**63": ":2: value out of range",
     "consistency-joint-value-2**64": ":1: value out of range",

@@ -62,6 +62,8 @@ CHECKS = {
         "max_attempts must be >= 1, got 0"),
     "generate_graph-model": (lambda: generate_graph("erdos", 10, POISSON, POISSON, 0),
                              "model must be one of"),
+    "generate_graph-negative-seed": (lambda: generate_graph("cm", 10, POISSON, POISSON, -1),
+                                     "seed must be >= 0, got -1"),
     "size_biased-negative-support": (
         lambda: size_biased(Pmf(np.array([-1, 3]), np.array([0.5, 0.5]))),
         "non-negative support"),
@@ -82,6 +84,8 @@ CHECKS = {
     "config-unknown-pair": (lambda: config(pairs=("up-down",)), r"unknown pairs: \['up-down'\]"),
     "config-empty-measures": (lambda: config(measures=()), "measures must name at least one"),
     "config-unknown-measure": (lambda: config(measures=("tau",)), r"unknown measures: \['tau'\]"),
+    "config-repeated-labels": (lambda: config(pairs=("out-in", "in-in", "out-in")),
+                               r"repeated pairs: \['out-in'\]"),
     "config-bad-law": (lambda: config(in_law="cauchy:1"), "invalid law 'cauchy:1'"),
     "config-negative-support": (lambda: config(in_law="uniform:-1..1"),
                                 "in_law must be supported on non-negative integers"),

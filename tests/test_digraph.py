@@ -1,4 +1,4 @@
-"""Directed multigraph container: degrees, sampling, empirical laws, file I/O."""
+"""Directed multigraph container: degrees, endpoint-degree tables, file I/O."""
 
 import gzip
 import re
@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import helpers
 from degdep import DegreeTypePair, DirectedMultigraph, digraph, read_edge_list, write_edge_list
+from degdep.correlations import PairTable
+from degdep.digraph import edges_are_simple
 
 from helpers import (
     NON_INT64_FLOATS,
@@ -84,61 +86,24 @@ class TestConstruction:
         assert g.n == 5 and g.out_deg.tolist() == [1, 0, 0, 0, 0]
 
 
-class TestSampling:
-    def test_single_edge_always_returned(self):
-        g = DirectedMultigraph.from_edge_list([(3, 1)])
-        assert g.sample_edge(0) == (3, 1)
-
-    def test_empty_graph_rejected(self):
-        g = DirectedMultigraph.from_edge_list([], n=2)
-        with pytest.raises(ValueError, match="at least one edge"):
-            g.sample_edge(0)
-
-    def test_multiplicity_weighting(self):
-        g = DirectedMultigraph.from_edge_list([(0, 1), (0, 1), (0, 2)])
-        rng = np.random.default_rng(42)
-        draws = sum(g.sample_edge(rng) == (0, 1) for _ in range(100_000))
-        assert draws / 100_000 == pytest.approx(2 / 3, abs=0.01)
-
-    def test_frequencies_match_multiplicities(self):
-        g = DirectedMultigraph.from_edge_list(
-            [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0), (2, 0)]
-        )
-        rng = np.random.default_rng(7)
-        counts = {}
-        trials = 60_000
-        for _ in range(trials):
-            e = g.sample_edge(rng)
-            counts[e] = counts.get(e, 0) + 1
-        assert counts[(0, 1)] / trials == pytest.approx(3 / 6, abs=0.01)
-        assert counts[(1, 2)] / trials == pytest.approx(1 / 6, abs=0.01)
-        assert counts[(2, 0)] / trials == pytest.approx(2 / 6, abs=0.01)
+def cells(t: PairTable) -> list[tuple[int, int, int]]:
+    """The (x, y, occurrences) cells of a table, in (x, y) order."""
+    return list(zip(t.ux[t.cell_x].tolist(), t.uy[t.cell_y].tolist(), t.cell_counts.tolist()))
 
 
 class TestEmpiricalDistributions:
     def test_edge_joint_out_in(self):
-        j = three_edge_graph().empirical_edge_joint(OUT_IN)
-        entries = {
-            (int(x), int(y)): p for x, y, p in zip(j.xs, j.ys, j.probs)
-        }
-        assert entries == {
-            (2, 1): pytest.approx(1 / 3),
-            (2, 2): pytest.approx(1 / 3),
-            (1, 2): pytest.approx(1 / 3),
-        }
+        t = PairTable.of_graph(three_edge_graph(), OUT_IN)
+        assert cells(t) == [(1, 2, 1), (2, 1, 1), (2, 2, 1)]
 
     def test_edge_joint_in_out(self):
-        j = three_edge_graph().empirical_edge_joint(IN_OUT)
-        entries = {(int(x), int(y)): p for x, y, p in zip(j.xs, j.ys, j.probs)}
-        assert set(entries) == {(0, 1), (0, 0), (1, 0)}
-        assert all(p == pytest.approx(1 / 3) for p in entries.values())
+        t = PairTable.of_graph(three_edge_graph(), IN_OUT)
+        assert cells(t) == [(0, 0, 1), (0, 1, 1), (1, 0, 1)]
 
     def test_cycle_is_point_mass(self):
         g = three_cycle()
         for pair in (OUT_IN, IN_OUT, DegreeTypePair("out", "out")):
-            j = g.empirical_edge_joint(pair)
-            assert j.xs.tolist() == [1] and j.ys.tolist() == [1]
-            assert j.probs.tolist() == [1.0]
+            assert cells(PairTable.of_graph(g, pair)) == [(1, 1, 3)]
 
     def test_marginal_source_out(self):
         p = three_edge_graph().empirical_marginal("source", "out")
@@ -159,19 +124,21 @@ class TestEmpiricalDistributions:
         for _ in range(25):
             g = random_multigraph(rng)
             for pair in (OUT_IN, IN_OUT):
-                j = g.empirical_edge_joint(pair)
-                mx = j.marginal_x()
-                direct = g.empirical_marginal("source", pair.alpha)
-                assert mx.support.tolist() == direct.support.tolist()
-                assert np.allclose(mx.probs, direct.probs, atol=1e-12)
+                t = PairTable.of_graph(g, pair)
+                for values, counts, law in (
+                    (t.ux, t.wx, g.empirical_marginal("source", pair.alpha)),
+                    (t.uy, t.wy, g.empirical_marginal("target", pair.beta)),
+                ):
+                    assert values.tolist() == law.support.tolist()
+                    assert np.allclose(counts / t.m, law.probs, atol=1e-12)
 
     def test_joint_counts_sum_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             g = random_multigraph(rng)
-            view = g.edge_degree_view(OUT_IN)
-            keys = list(zip(view.source_degrees.tolist(), view.target_degrees.tolist()))
-            assert len(keys) == g.edge_count
+            x, y = g.edge_degree_view(OUT_IN)
+            assert x.size == y.size == g.edge_count
+            assert int(PairTable.of_graph(g, OUT_IN).cell_counts.sum()) == g.edge_count
 
     def test_relabeling_leaves_empiricals_unchanged(self):
         g = three_edge_graph()
@@ -181,32 +148,22 @@ class TestEmpiricalDistributions:
             [(relabel[int(s)], relabel[int(d)]) for s, d in zip(g.src, g.dst)]
         )
         for pair in (OUT_IN, IN_OUT):
-            jg = g.empirical_edge_joint(pair)
-            jh = h.empirical_edge_joint(pair)
-            assert jg.xs.tolist() == jh.xs.tolist()
-            assert np.allclose(jg.probs, jh.probs, atol=1e-15)
-
-    def test_node_degree_pmf(self):
-        p = three_edge_graph().node_degree_pmf("out")
-        assert dict(zip(p.support.tolist(), p.probs.tolist())) == {
-            0: pytest.approx(1 / 3),
-            1: pytest.approx(1 / 3),
-            2: pytest.approx(1 / 3),
-        }
+            assert cells(PairTable.of_graph(g, pair)) == cells(PairTable.of_graph(h, pair))
 
 
 class TestIsSimple:
     def test_opposite_directions_allowed(self):
-        assert DirectedMultigraph.from_edge_list([(0, 1), (1, 0)]).is_simple()
+        assert edges_are_simple(np.array([0, 1]), np.array([1, 0]), 2)
 
     def test_self_loop_not_simple(self):
-        assert not DirectedMultigraph.from_edge_list([(0, 0)]).is_simple()
+        assert not edges_are_simple(np.array([0]), np.array([0]), 1)
 
     def test_multi_edge_not_simple(self):
-        assert not DirectedMultigraph.from_edge_list([(0, 1), (0, 1)]).is_simple()
+        assert not edges_are_simple(np.array([0, 0]), np.array([1, 1]), 2)
 
     def test_empty_graph_simple(self):
-        assert DirectedMultigraph.from_edge_list([], n=3).is_simple()
+        g = DirectedMultigraph.from_edge_list([], n=3)
+        assert edges_are_simple(g.src, g.dst, g.n)
 
 
 class TestEdgeListFiles:

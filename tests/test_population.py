@@ -50,9 +50,12 @@ class TestSpearmanPopulation:
     def test_independent_pairs_are_zero(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            j = JointPmf.product(
-                random_pmf(rng, 5, min_atoms=2), random_pmf(rng, 5, min_atoms=2)
-            )
+            px, py = random_pmf(rng, 5, min_atoms=2), random_pmf(rng, 5, min_atoms=2)
+            j = JointPmf.from_entries({
+                (x, y): p * q
+                for x, p in zip(px.support.tolist(), px.probs.tolist())
+                for y, q in zip(py.support.tolist(), py.probs.tolist())
+            })
             assert spearman_population(j) == pytest.approx(0.0, abs=EXACT)
 
     def test_degenerate_marginal_rejected(self):
@@ -130,7 +133,12 @@ class TestKendallPopulation:
     def test_independent_pairs_are_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            j = JointPmf.product(random_pmf(rng, 5), random_pmf(rng, 5))
+            px, py = random_pmf(rng, 5), random_pmf(rng, 5)
+            j = JointPmf.from_entries({
+                (x, y): p * q
+                for x, p in zip(px.support.tolist(), px.probs.tolist())
+                for y, q in zip(py.support.tolist(), py.probs.tolist())
+            })
             assert kendall_population(j) == pytest.approx(0.0, abs=EXACT)
 
     def test_matches_sign_product_oracle(self):
@@ -208,9 +216,12 @@ class TestSpearmanAverageLimit:
 
     def test_independent_is_zero(self):
         rng = np.random.default_rng(18)
-        j = JointPmf.product(
-            random_pmf(rng, 4, min_atoms=2), random_pmf(rng, 4, min_atoms=2)
-        )
+        px, py = random_pmf(rng, 4, min_atoms=2), random_pmf(rng, 4, min_atoms=2)
+        j = JointPmf.from_entries({
+            (x, y): p * q
+            for x, p in zip(px.support.tolist(), px.probs.tolist())
+            for y, q in zip(py.support.tolist(), py.probs.tolist())
+        })
         assert spearman_average_limit(j) == pytest.approx(0.0, abs=EXACT)
 
     def test_degenerate_rejected(self):
@@ -255,7 +266,12 @@ class TestContinuizedMoments:
 class TestJointContinuizedIdentities:
     def test_quarter_identity_for_products(self):
         rng = np.random.default_rng(22)
-        j = JointPmf.product(random_pmf(rng, 4), random_pmf(rng, 4))
+        px, py = random_pmf(rng, 4), random_pmf(rng, 4)
+        j = JointPmf.from_entries({
+            (x, y): p * q
+            for x, p in zip(px.support.tolist(), px.probs.tolist())
+            for y, q in zip(py.support.tolist(), py.probs.tolist())
+        })
         assert joint_continuized_product(j) == pytest.approx(0.25, abs=EXACT)
 
     def test_diagonal_bernoulli_value(self):
