@@ -22,8 +22,6 @@ from .config_model import (
     sample_bidegree,
 )
 from .correlations import (
-    CorrelationReport,
-    PairMeasures,
     full_report,
     kendall_xy,
     pearson_xy,

@@ -178,20 +178,11 @@ def _cmd_measure(args) -> int:
     graph = read_edge_list(args.graph)
     report = full_report(graph, seed=args.seed, tie_break_replicas=args.tie_break_replicas,
                          pairs=args.pairs, measures=args.measures)
-    payload = report.to_dict()
-    payload["pairs"] = {
-        label: {
-            key: value
-            for key, value in entry.items()
-            if key in args.measures or key.startswith("degenerate_")
-        }
-        for label, entry in payload["pairs"].items()
-    }
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     else:
         lines = ["pair,measure,value,defined"]
-        for label, entry in payload["pairs"].items():
+        for label, entry in report["pairs"].items():
             for key, value in entry.items():
                 if not key.startswith("degenerate_"):
                     cells = (label, key, value, value is not None)

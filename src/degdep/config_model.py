@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import DegreeTypePair, DirectedMultigraph, edges_are_simple
-from .pmf import ConfigError, Pmf, require_at_least, size_biased
+from .pmf import ConfigError, Pmf, as_rng, require_at_least, size_biased
 
 __all__ = [
     "GenerationError",
@@ -151,7 +151,7 @@ def sample_bidegree(n: int, out_law: Pmf, in_law: Pmf, rng) -> BiDegreeRealizati
             "the configuration model presumes equal means",
             stacklevel=2,
         )
-    rng = np.random.default_rng(rng)
+    rng = as_rng(rng)
     # each sample is a fresh array (Pmf.sample indexes its support), so the
     # balancing below may add to it in place
     out_stubs = out_law.sample(rng, n)
@@ -180,7 +180,7 @@ def pair_stubs_cm(b: BiDegreeRealization, rng) -> GenerationResult:
     single random shuffle of the in-stub slots.  The resulting degrees equal
     the stub counts exactly.
     """
-    rng = np.random.default_rng(rng)
+    rng = as_rng(rng)
     src, tgt = _stub_endpoints(b)
     rng.shuffle(tgt)
     n = b.out_stubs.size
@@ -190,7 +190,7 @@ def pair_stubs_cm(b: BiDegreeRealization, rng) -> GenerationResult:
 
 def generate_cm(n: int, out_law: Pmf, in_law: Pmf, rng) -> GenerationResult:
     """Sample a bi-degree sequence and pair it once (multigraph variant)."""
-    rng = np.random.default_rng(rng)
+    rng = as_rng(rng)
     return pair_stubs_cm(sample_bidegree(n, out_law, in_law, rng), rng)
 
 
@@ -209,7 +209,7 @@ def generate_rcm(
     expected outcome for infinite-variance laws at large n.
     """
     require_at_least("max_attempts", max_attempts)
-    rng = np.random.default_rng(rng)
+    rng = as_rng(rng)
     b = sample_bidegree(n, out_law, in_law, rng)
     src, tgt = _stub_endpoints(b)
     # one buffer for every attempt: the graph constructor copies its input
@@ -259,7 +259,7 @@ def erase_multigraph(g: DirectedMultigraph) -> tuple[DirectedMultigraph, Erasure
 
 def generate_ecm(n: int, out_law: Pmf, in_law: Pmf, rng) -> GenerationResult:
     """Pair once, then make the graph simple by erasure (see erase_multigraph)."""
-    rng = np.random.default_rng(rng)
+    rng = as_rng(rng)
     b = sample_bidegree(n, out_law, in_law, rng)
     cm = pair_stubs_cm(b, rng)
     graph, ledger = erase_multigraph(cm.graph)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels
 from .digraph import ALL_PAIRS, PAIR_LABELS, DegreeTypePair, DirectedMultigraph
-from .pmf import ConfigError, as_int_array, require_at_least, require_known
+from .pmf import ConfigError, as_int_array, as_rng, require_at_least, require_known
 from .seeding import child_seed
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "spearman_average_xy",
     "kendall_xy",
     "pearson_xy",
-    "PairMeasures",
-    "CorrelationReport",
     "full_report",
     "MEASURES",
 ]
@@ -45,10 +42,6 @@ __all__ = [
 MEASURES = ("spearman_uniform", "spearman_average", "kendall", "pearson")
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _as_rng(rng) -> np.random.Generator:
-    return np.random.default_rng(rng)
 
 
 def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,7 +308,7 @@ class PairTable:
         """
         self._require_pairs()
         m = self.m
-        rng = _as_rng(rng)
+        rng = as_rng(rng)
         # 2R - (m+1) for the occurrences in ascending value order, with rank
         # R = 1 at the largest value, as in _doubled_ranks_by_value
         centered = np.arange(m - 1, -m, -2)
@@ -413,34 +406,6 @@ def pearson_xy(x, y) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairMeasures:
-    """All four measures for one degree-type pair, with degeneracy flags.
-
-    A measure that was not asked for is None, as is an undefined one.
-    """
-
-    spearman_uniform: float | None
-    spearman_average: float | None
-    kendall: float | None
-    pearson: float | None
-    degenerate_source: bool
-    degenerate_target: bool
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Measures for the degree-type pairs plus graph metadata."""
-
-    n: int
-    edges: int
-    seed: int
-    pairs: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def full_report(
     g: DirectedMultigraph,
     seed: int,
@@ -448,9 +413,14 @@ def full_report(
     *,
     pairs=PAIR_LABELS,
     measures=MEASURES,
-) -> CorrelationReport:
-    """The requested measures for the requested pairs (default: all of both).
+) -> dict:
+    """The report document: the requested measures for the requested pairs
+    (default: all of both).
 
+    It is {"n", "edges", "seed", "pairs"}, with one entry per pair label in
+    `PAIR_LABELS` order.  An entry holds the requested measures in
+    `MEASURES` order, then `degenerate_source` and `degenerate_target`; a
+    measure that was not asked for is absent, and an undefined one is None.
     The uniform-rank Spearman value is by default its exact tie-break mean
     (`PairTable.spearman_uniform_mean`), which does not depend on `seed`.
     A `tie_break_replicas` count averages that many tie-break draws instead
@@ -468,18 +438,17 @@ def full_report(
     if g.edge_count < 2:
         raise ValueError("full report requires at least 2 edge occurrences")
     tables = PairTable.of_graph_pairs(g, [p for p in ALL_PAIRS if p.label in pairs])
-    report: dict[str, PairMeasures] = {}
+    report = {}
     for pair_index, pair in enumerate(ALL_PAIRS):
         if pair not in tables:
             continue
         table = tables[pair]
-        values = {
+        entry = {
             measure: measure_table(table, measure, (seed, pair_index), tie_break_replicas)
-            for measure in measures
+            for measure in MEASURES
+            if measure in measures
         }
-        report[pair.label] = PairMeasures(
-            **{measure: values.get(measure) for measure in MEASURES},
-            degenerate_source=table.degenerate_source,
-            degenerate_target=table.degenerate_target,
-        )
-    return CorrelationReport(n=g.n, edges=g.edge_count, seed=int(seed), pairs=report)
+        entry["degenerate_source"] = table.degenerate_source
+        entry["degenerate_target"] = table.degenerate_target
+        report[pair.label] = entry
+    return {"n": g.n, "edges": g.edge_count, "seed": int(seed), "pairs": report}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import ConfigError, Pmf, as_int_array, load_table, table_lines
+from .pmf import ConfigError, as_int_array, load_table, table_lines
 
 __all__ = [
     "DegreeTypePair",
@@ -154,23 +154,6 @@ class DirectedMultigraph:
     def edge_degree_view(self, pair: DegreeTypePair) -> tuple[np.ndarray, np.ndarray]:
         """The (source-side, target-side) degrees of every edge occurrence."""
         return self.degrees(pair.alpha)[self.src], self.degrees(pair.beta)[self.dst]
-
-    def empirical_marginal(self, side: str, degree_type: str) -> Pmf:
-        """Law of one endpoint degree of a uniformly sampled edge.
-
-        `side` is "source" or "target"; each edge occurrence carries weight
-        1/|E|.
-        """
-        self._require_edges()
-        if side == "source":
-            nodes = self.src
-        elif side == "target":
-            nodes = self.dst
-        else:
-            raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-        values = self.degrees(degree_type)[nodes]
-        uniq, counts = np.unique(values, return_counts=True)
-        return Pmf(uniq, counts / self.edge_count)
 
 
 def edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:

@@ -331,9 +331,9 @@ def generate_graph(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> GenerationResult:
     """One graph of the named configuration model; `max_attempts` is used
-    by rcm only.  `rng` is a Generator or a seed, which must be >= 0."""
-    if isinstance(rng, int):
-        require_at_least("seed", rng, 0)
+    by rcm only but must be at least 1 for every model.  `rng` is a
+    Generator or a seed, which must be >= 0."""
+    require_at_least("max_attempts", max_attempts)
     if model == "cm":
         return generate_cm(n, out_law, in_law, rng)
     if model == "rcm":
@@ -485,31 +485,31 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
 
     Only meaningful for the plain multigraph model (cm), whose endpoint laws
     are the tabulated plain/size-biased laws.  Those limits are computed
-    before any graph, so a law that cannot be size-biased fails first.
+    before any graph, so a law that cannot be size-biased fails first.  A
+    pair's empirical laws are the two sides of its table, each occurrence
+    weighted 1/m; a row's runtime_ms is half of the pair's build share and
+    its two distances.
     """
     if config.model != "cm":
         raise ConfigError(f"endpoint-law experiment requires model='cm', got {config.model!r}")
     out_law, in_law = config.laws()
-    limits = {
-        label: endpoint_degree_laws(DegreeTypePair.from_label(label), out_law, in_law)
-        for label in config.pairs
-    }
+    pairs = [DegreeTypePair.from_label(label) for label in config.pairs]
+    limits = {pair: endpoint_degree_laws(pair, out_law, in_law) for pair in pairs}
 
     def cell_rows(size_index, n, replica):
         gen_seed = child_seed(config.seed, size_index, replica, "generate")
         result = _generate(config, n, gen_seed)
+        t0 = time.perf_counter()
+        tables = PairTable.of_graph_pairs(result.graph, pairs)
+        build_s = (time.perf_counter() - t0) / len(pairs)
         rows = []
-        for label in config.pairs:
-            pair = DegreeTypePair.from_label(label)
-            source_law, target_law = limits[label]
+        for label, pair in zip(config.pairs, pairs):
+            t = tables[pair]
+            source_law, target_law = limits[pair]
             t0 = time.perf_counter()
-            tv_source = tv_distance(
-                result.graph.empirical_marginal("source", pair.alpha), source_law
-            )
-            tv_target = tv_distance(
-                result.graph.empirical_marginal("target", pair.beta), target_law
-            )
-            elapsed_ms = round((time.perf_counter() - t0) * 1e3 / 2, 3)
+            tv_source = tv_distance(Pmf(t.ux, t.wx / t.m), source_law)
+            tv_target = tv_distance(Pmf(t.uy, t.wy / t.m), target_law)
+            elapsed_ms = round((build_s + time.perf_counter() - t0) * 1e3 / 2, 3)
             rows.append(
                 EndpointLawRow(n=n, replica=replica, pair=label, side="source",
                                tv_distance=tv_source, runtime_ms=elapsed_ms)

@@ -38,7 +38,6 @@ __all__ = [
     "parse_law",
     "read_pmf",
     "write_pmf",
-    "DEFAULT_ZETA_KMAX",
 ]
 
 # Input tolerance for sum-to-one; inputs inside it are renormalized exactly.
@@ -48,7 +47,7 @@ _SUM_TOL = 1e-9
 # below this threshold, then renormalized.
 _LAW_MASS_EPS = 1e-12
 
-DEFAULT_ZETA_KMAX = 1_000_000
+_ZETA_KMAX = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -68,6 +67,13 @@ def require_at_least(name: str, value: int, least: int = 1) -> None:
     """ConfigError unless value >= least."""
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def as_rng(rng) -> np.random.Generator:
+    """np.random.default_rng(rng); ConfigError for an int seed below 0."""
+    if isinstance(rng, (int, np.integer)):
+        require_at_least("seed", rng, 0)
+    return np.random.default_rng(rng)
 
 
 def require_known(name: str, given, known) -> tuple:
@@ -187,7 +193,7 @@ class Pmf:
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Draw `size` iid values by inverse-cdf lookup; deterministic per rng."""
-        rng = np.random.default_rng(rng)
+        rng = as_rng(rng)
         idx = np.searchsorted(self._cum_pad[1:], rng.random(size), side="right")
         return self.support[np.minimum(idx, self.support.size - 1)]
 
@@ -243,7 +249,7 @@ class JointPmf:
 
     def sample(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw `size` iid (x, y) pairs; returns two aligned arrays."""
-        rng = np.random.default_rng(rng)
+        rng = as_rng(rng)
         cum = np.cumsum(self.probs)
         cum[-1] = 1.0
         idx = np.searchsorted(cum, rng.random(size), side="right")
@@ -342,12 +348,11 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parse_law(text: str, *, zeta_kmax: int = DEFAULT_ZETA_KMAX) -> Pmf:
+def parse_law(text: str) -> Pmf:
     """Parse a named law string into a Pmf.
 
     Recognized forms:
-      - "zeta:a"       P(k) proportional to k^(-a) for k >= 1, truncated at
-                       k_max (the zeta_kmax argument, default 10^6)
+      - "zeta:a"       P(k) proportional to k^(-a) for 1 <= k <= 10^6
       - "poisson:lam"  truncated where the point mass falls below 1e-12
       - "geometric:p"  P(k) = p (1-p)^(k-1) for k >= 1, same truncation
       - "uniform:a..b" uniform on the integers {a, ..., b}
@@ -357,20 +362,18 @@ def parse_law(text: str, *, zeta_kmax: int = DEFAULT_ZETA_KMAX) -> Pmf:
     if not sep:
         raise ConfigError(f"law {text!r} must look like 'name:params'")
     try:
-        return _build_law(name, arg.strip(), int(zeta_kmax) if name == "zeta" else 0)
+        return _build_law(name, arg.strip())
     except ValueError as exc:
         raise ConfigError(f"invalid law {text!r}: {exc}") from None
 
 
 @lru_cache(maxsize=8)
-def _build_law(name: str, arg: str, zeta_kmax: int) -> Pmf:
+def _build_law(name: str, arg: str) -> Pmf:
     if name == "zeta":
         a = float(arg)
         if a <= 0:
             raise ValueError("zeta exponent must be positive")
-        if zeta_kmax < 1:
-            raise ValueError("zeta k_max must be >= 1")
-        k = np.arange(1, zeta_kmax + 1, dtype=np.int64)
+        k = np.arange(1, _ZETA_KMAX + 1, dtype=np.int64)
         w = k.astype(np.float64) ** (-a)
         return Pmf(k, w / w.sum())
     if name == "poisson":

@@ -15,6 +15,12 @@ def random_pmf(rng, max_atoms=8, span=20, min_atoms=1) -> Pmf:
     return Pmf(np.sort(support), weights / weights.sum())
 
 
+def zeta_law(a: float, k_max: int) -> Pmf:
+    """P(k) proportional to k^(-a) for 1 <= k <= k_max."""
+    w = np.arange(1, k_max + 1, dtype=np.float64) ** -a
+    return Pmf(np.arange(1, k_max + 1), w / w.sum())
+
+
 def random_joint(rng, max_side=8, span=10) -> JointPmf:
     """Random joint pmf on up to max_side x max_side integer atoms."""
     kx = int(rng.integers(1, max_side + 1))

@@ -99,6 +99,14 @@ def kendall_naive(x, y) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def endpoint_law(g: DirectedMultigraph, side: str, kind: str) -> Pmf:
+    """The law of the `kind` degree at the `side` ("source" or "target")
+    end of a uniformly sampled edge occurrence, tallied with np.unique."""
+    values, counts = np.unique(g.degrees(kind)[g.src if side == "source" else g.dst],
+                               return_counts=True)
+    return Pmf(values, counts / g.edge_count)
+
+
 def spearman_from_distributions(g: DirectedMultigraph, pair: DegreeTypePair) -> float:
     """Distribution form of Spearman's rho: 3 E[sF_a sF_b | G] - 3.
 

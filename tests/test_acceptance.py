@@ -45,6 +45,7 @@ from oracles import (
     continuized_joint_cdf_mean,
     continuized_moment,
     discrete_moment_sum,
+    endpoint_law,
     joint_continuized_product,
     kendall_naive,
     tie_aware_joint_cdf,
@@ -99,7 +100,7 @@ def test_criterion_02_rank_identities():
                 for side, values, kind in (("source", x, pair.alpha), ("target", y, pair.beta)):
                     rbar = average_ranks(values)
                     assert float(rbar.sum()) == m * (m + 1) / 2
-                    law = g.empirical_marginal(side, kind)
+                    law = endpoint_law(g, side, kind)
                     rhs = 1 + 1 / (2 * m) - law.tie_aware_cdf(values) / 2
                     assert np.max(np.abs(rbar / m - rhs)) <= EXACT
 
@@ -228,8 +229,8 @@ def test_criterion_08_endpoint_and_node_degree_laws():
             DegreeTypePair("out", "out"), DegreeTypePair("in", "in"),
         ):
             source_law, target_law = endpoint_degree_laws(pair, law, law)
-            tv_s = tv_distance(cm.graph.empirical_marginal("source", pair.alpha), source_law)
-            tv_t = tv_distance(cm.graph.empirical_marginal("target", pair.beta), target_law)
+            tv_s = tv_distance(endpoint_law(cm.graph, "source", pair.alpha), source_law)
+            tv_t = tv_distance(endpoint_law(cm.graph, "target", pair.beta), target_law)
             assert tv_s <= 0.05 and tv_t <= 0.05, (pair.label, tv_s, tv_t)
 
         heavy = parse_law("zeta:2.5")

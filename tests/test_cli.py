@@ -281,10 +281,14 @@ EXIT_CODES = {
     "generate-max-attempts-0": (
         ["generate", "--model", "rcm", "--n", "10", *_LAWS, "--seed", "1",
          "--max-attempts", "0"], 1),
+    # refused for the models that make one pairing attempt too
+    "generate-max-attempts-zero": (
+        ["generate", "--model", "ecm", "--n", "10", *_LAWS, "--seed", "1",
+         "--max-attempts", "0"], 1),
     "generate-rcm-exhausted": (
         ["generate", "--model", "rcm", "--n", "3000", "--out-law", "zeta:2.1",
          "--in-law", "zeta:2.1", "--seed", "1", "--max-attempts", "10"], 3),
-    # numpy's own refusal of a negative seed is a plain ValueError
+    # the library refuses a negative seed before numpy does (a plain ValueError)
     "generate-negative-seed": (["generate", "--model", "cm", "--n", "10", *_LAWS,
                                 "--seed", "-1"], 1),
     "generate-unwritable": (
@@ -356,6 +360,7 @@ EXIT_MESSAGES = {
     "measure-id-too-large-for-memory": "largest node id 1000000000000",
     "measure-id-past-address-space": "largest node id 9223372036854775807",
     "generate-negative-seed": "seed must be >= 0, got -1",
+    "generate-max-attempts-zero": "max_attempts must be >= 1, got 0",
     "null-model-repeated-labels": "repeated pairs: ['out-in']",
     "consistency-nan-joint": "probs must be finite",
     "consistency-joint-value-2**63": ":2: value out of range",

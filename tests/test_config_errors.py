@@ -12,10 +12,14 @@ from degdep import (
     JointPmf,
     Pmf,
     full_report,
+    generate_cm,
+    generate_ecm,
     generate_rcm,
+    pair_stubs_cm,
     parse_law,
     sample_bidegree,
     size_biased,
+    spearman_uniform_xy,
 )
 from degdep.correlations import PairTable, measure_table
 from degdep.experiments import (
@@ -64,6 +68,26 @@ CHECKS = {
                              "model must be one of"),
     "generate_graph-negative-seed": (lambda: generate_graph("cm", 10, POISSON, POISSON, -1),
                                      "seed must be >= 0, got -1"),
+    # numpy refuses a negative seed with a plain ValueError; the library
+    # checks it first wherever it seeds a generator
+    "generate_cm-negative-seed": (lambda: generate_cm(10, POISSON, POISSON, -1),
+                                  "seed must be >= 0, got -1"),
+    "generate_rcm-negative-seed": (lambda: generate_rcm(10, POISSON, POISSON, -1),
+                                   "seed must be >= 0, got -1"),
+    "generate_ecm-negative-seed": (lambda: generate_ecm(10, POISSON, POISSON, -1),
+                                   "seed must be >= 0, got -1"),
+    "generate_ecm-numpy-negative-seed": (
+        lambda: generate_ecm(10, POISSON, POISSON, np.int64(-2)), "seed must be >= 0, got -2"),
+    "sample_bidegree-negative-seed": (lambda: sample_bidegree(10, POISSON, POISSON, -1),
+                                      "seed must be >= 0, got -1"),
+    "pair_stubs_cm-negative-seed": (
+        lambda: pair_stubs_cm(sample_bidegree(10, POISSON, POISSON, 0), -1),
+        "seed must be >= 0, got -1"),
+    "pmf-sample-negative-seed": (lambda: POISSON.sample(-1, 3), "seed must be >= 0, got -1"),
+    "joint-sample-negative-seed": (lambda: CONSTANT_X.sample(-1, 3),
+                                   "seed must be >= 0, got -1"),
+    "spearman_uniform_xy-negative-seed": (lambda: spearman_uniform_xy([1, 2, 3], [3, 2, 1], -1),
+                                          "seed must be >= 0, got -1"),
     "size_biased-negative-support": (
         lambda: size_biased(Pmf(np.array([-1, 3]), np.array([0.5, 0.5]))),
         "non-negative support"),

@@ -28,6 +28,7 @@ from oracles import (
     average_ranks,
     average_ranks_doubled,
     empirical_tie_aware_int,
+    endpoint_law,
     kendall_from_distributions,
     spearman_from_distributions,
     uniform_mean_rank_numerator,
@@ -121,13 +122,13 @@ class TestRankIdentities:
                     assert np.array_equal(doubled, 2 * m + 1 - sf_int)
 
     def test_per_edge_identity_via_graph_marginals(self):
-        # Rbar/m == 1 + 1/(2m) - sF_G(degree)/2 with sF_G from empirical_marginal
+        # Rbar/m == 1 + 1/(2m) - sF_G(degree)/2 with sF_G of the endpoint law
         rng = np.random.default_rng(4)
         for _ in range(40):
             g = random_multigraph(rng)
             m = g.edge_count
             x, _ = g.edge_degree_view(OUT_IN)
-            source_law = g.empirical_marginal("source", "out")
+            source_law = endpoint_law(g, "source", "out")
             rbar = average_ranks(x)
             sf = source_law.tie_aware_cdf(x)
             lhs = rbar / m
@@ -403,21 +404,21 @@ class TestSamplingConsistency:
 class TestFullReport:
     def test_worked_graph_values(self):
         report = full_report(three_edge_graph(), seed=5)
-        entry = report.pairs["out-in"]
-        assert entry.kendall == pytest.approx(-1 / 3, abs=0)
-        assert entry.spearman_average == -0.5
-        assert entry.pearson == -0.5
-        assert not entry.degenerate_source and not entry.degenerate_target
+        entry = report["pairs"]["out-in"]
+        assert entry["kendall"] == pytest.approx(-1 / 3, abs=0)
+        assert entry["spearman_average"] == -0.5
+        assert entry["pearson"] == -0.5
+        assert not entry["degenerate_source"] and not entry["degenerate_target"]
 
     def test_three_cycle_degenerate(self):
         report = full_report(three_cycle(), seed=5)
         for label in ("out-in", "in-out", "out-out", "in-in"):
-            entry = report.pairs[label]
-            assert entry.kendall == 0.0
-            assert entry.spearman_average is None
-            assert entry.pearson is None
-            assert entry.degenerate_source and entry.degenerate_target
-            assert -1.0 <= entry.spearman_uniform <= 1.0
+            entry = report["pairs"][label]
+            assert entry["kendall"] == 0.0
+            assert entry["spearman_average"] is None
+            assert entry["pearson"] is None
+            assert entry["degenerate_source"] and entry["degenerate_target"]
+            assert -1.0 <= entry["spearman_uniform"] <= 1.0
 
     def test_default_is_the_exact_tie_break_mean(self):
         rng = np.random.default_rng(23)
@@ -426,9 +427,10 @@ class TestFullReport:
             report = full_report(g, seed=9)
             for pair in ALL_PAIRS:
                 num = uniform_mean_rank_numerator(g, pair)
-                assert report.pairs[pair.label].spearman_uniform == float(
+                assert report["pairs"][pair.label]["spearman_uniform"] == float(
                     Fraction(3 * num, m**3 - m))
-        assert full_report(three_edge_graph(), seed=9).pairs["out-in"].spearman_uniform == -0.375
+        report = full_report(three_edge_graph(), seed=9)
+        assert report["pairs"]["out-in"]["spearman_uniform"] == -0.375
 
     def test_one_replica_is_one_seeded_draw(self):
         g = random_multigraph(np.random.default_rng(24), max_edges=200)
@@ -436,29 +438,40 @@ class TestFullReport:
         for pair_index, pair in enumerate(ALL_PAIRS):
             draw = PairTable(*g.edge_degree_view(pair)).spearman_uniform(
                 child_seed(9, pair_index, 0, "tie-break"))
-            assert report.pairs[pair.label].spearman_uniform == draw
+            assert report["pairs"][pair.label]["spearman_uniform"] == draw
 
     def test_deterministic_and_replica_mean(self):
         rng = np.random.default_rng(21)
         g = random_multigraph(rng)
         r1 = full_report(g, seed=9, tie_break_replicas=8)
         r2 = full_report(g, seed=9, tie_break_replicas=8)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
         r3 = full_report(g, seed=10, tie_break_replicas=8)
-        assert r3.to_dict() != r1.to_dict() or g.edge_count < 4
+        assert r3 != r1 or g.edge_count < 4
 
     def test_report_dict_schema(self):
-        payload = full_report(three_edge_graph(), seed=5, tie_break_replicas=4).to_dict()
-        assert set(payload) == {"n", "edges", "seed", "pairs"}
-        assert set(payload["pairs"]) == {"out-in", "in-out", "out-out", "in-in"}
-        assert set(payload["pairs"]["out-in"]) == {
+        payload = full_report(three_edge_graph(), seed=5, tie_break_replicas=4)
+        assert list(payload) == ["n", "edges", "seed", "pairs"]
+        assert (payload["n"], payload["edges"], payload["seed"]) == (3, 3, 5)
+        assert list(payload["pairs"]) == ["out-in", "in-out", "out-out", "in-in"]
+        assert list(payload["pairs"]["out-in"]) == [
             "spearman_uniform",
             "spearman_average",
             "kendall",
             "pearson",
             "degenerate_source",
             "degenerate_target",
-        }
+        ]
+
+    def test_entries_hold_only_the_requested_measures(self):
+        # asked for out of order: the entry keeps MEASURES order
+        report = full_report(three_edge_graph(), 0, pairs=("in-in", "out-in"),
+                             measures=("pearson", "kendall"))
+        assert list(report["pairs"]) == ["out-in", "in-in"]
+        for entry in report["pairs"].values():
+            assert list(entry) == ["kendall", "pearson", "degenerate_source", "degenerate_target"]
+        full = full_report(three_edge_graph(), 0)
+        assert report["pairs"]["out-in"]["kendall"] == full["pairs"]["out-in"]["kendall"]
 
     def test_requires_two_edges(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from helpers import (
     random_multigraph,
     read_edge_list_reference,
 )
+from oracles import endpoint_law
 
 OUT_IN = DegreeTypePair("out", "in")
 IN_OUT = DegreeTypePair("in", "out")
@@ -106,15 +107,15 @@ class TestEmpiricalDistributions:
             assert cells(PairTable.of_graph(g, pair)) == [(1, 1, 3)]
 
     def test_marginal_source_out(self):
-        p = three_edge_graph().empirical_marginal("source", "out")
-        assert dict(zip(p.support.tolist(), p.probs.tolist())) == {
+        t = PairTable.of_graph(three_edge_graph(), OUT_IN)
+        assert dict(zip(t.ux.tolist(), (t.wx / t.m).tolist())) == {
             2: pytest.approx(2 / 3),
             1: pytest.approx(1 / 3),
         }
 
     def test_marginal_target_in(self):
-        p = three_edge_graph().empirical_marginal("target", "in")
-        assert dict(zip(p.support.tolist(), p.probs.tolist())) == {
+        t = PairTable.of_graph(three_edge_graph(), OUT_IN)
+        assert dict(zip(t.uy.tolist(), (t.wy / t.m).tolist())) == {
             1: pytest.approx(1 / 3),
             2: pytest.approx(2 / 3),
         }
@@ -126,8 +127,8 @@ class TestEmpiricalDistributions:
             for pair in (OUT_IN, IN_OUT):
                 t = PairTable.of_graph(g, pair)
                 for values, counts, law in (
-                    (t.ux, t.wx, g.empirical_marginal("source", pair.alpha)),
-                    (t.uy, t.wy, g.empirical_marginal("target", pair.beta)),
+                    (t.ux, t.wx, endpoint_law(g, "source", pair.alpha)),
+                    (t.uy, t.wy, endpoint_law(g, "target", pair.beta)),
                 ):
                     assert values.tolist() == law.support.tolist()
                     assert np.allclose(counts / t.m, law.probs, atol=1e-12)

@@ -202,8 +202,8 @@ class TestContinuizedCdf:
 
 class TestNamedLaws:
     def test_zeta_shape_and_truncation(self):
-        p = parse_law("zeta:2.5", zeta_kmax=1000)
-        assert p.support[0] == 1 and p.support[-1] == 1000
+        p = parse_law("zeta:2.5")
+        assert p.support[0] == 1 and p.support[-1] == 10**6
         ratio = p.probs[7] / p.probs[0]
         assert ratio == pytest.approx(8.0 ** -2.5, rel=1e-12)
 
