@@ -255,6 +255,9 @@ def main(argv=None) -> int:
     except GenerationError as exc:
         sys.stderr.write(f"degdep: generation failed: {exc}\n")
         return 3
+    except MemoryError as exc:
+        sys.stderr.write(f"degdep: error: not enough memory: {exc}\n")
+        return 1
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"degdep: {exc}\n")
         return 2

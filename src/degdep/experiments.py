@@ -221,6 +221,8 @@ def _text_to_cell(text: str, hint):
     if text == "" and type(None) in options:
         return None
     kind = next(option for option in options if option is not type(None))
+    if kind is bool and text not in ("true", "false"):
+        raise ValueError(f"a bool cell must be true or false, got {text!r}")
     return text == "true" if kind is bool else kind(text)
 
 
@@ -252,11 +254,13 @@ def read_rows_csv(path, row_cls=ExperimentRow):
         if header != expected:
             raise ValueError(f"{path}: header {header} does not match {expected}")
         for record in reader:
-            kwargs = {
-                name: _text_to_cell(text, hints[name])
-                for name, text in zip(header, record)
-            }
-            out.append(row_cls(**kwargs))
+            try:
+                if len(record) != len(header):
+                    raise ValueError(f"{len(record)} cells, the header has {len(header)}")
+                out.append(row_cls(**{name: _text_to_cell(text, hints[name])
+                                      for name, text in zip(header, record)}))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

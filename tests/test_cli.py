@@ -66,6 +66,21 @@ class TestGenerate:
             run_cli("generate", "--model", "nope", "--n", "10")
         assert excinfo.value.code == 1
 
+    def test_memory_error_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys):
+        def too_large(text):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("degdep.cli.parse_law", too_large)
+        code = run_cli(
+            "generate", "--model", "cm", "--n", "10",
+            "--out-law", "uniform:1..1000000000000", "--in-law", "poisson:1",
+            "--seed", "1", "-o", str(tmp_path / "g.tsv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "degdep: error: not enough memory: Unable to allocate 7.28 TiB\n")
+        assert not (tmp_path / "g.tsv").exists()
+
 
 @pytest.fixture
 def worked_graph(tmp_path):

@@ -168,8 +168,8 @@ class TestErasedModel:
         g = DirectedMultigraph.from_edge_list([(0, 0), (0, 1)])
         simple, ledger = erase_multigraph(g)
         assert sorted(zip(simple.src.tolist(), simple.dst.tolist())) == [(0, 1)]
-        assert ledger.erased_out.tolist() == [1, 0]
-        assert ledger.erased_in.tolist() == [1, 0]
+        assert (g.out_deg - simple.out_deg).tolist() == [1, 0]
+        assert (g.in_deg - simple.in_deg).tolist() == [1, 0]
         assert ledger.self_loops_removed == 1
         assert ledger.multi_edges_merged == 0
 
@@ -178,33 +178,56 @@ class TestErasedModel:
         simple, ledger = erase_multigraph(g)
         assert sorted(zip(simple.src.tolist(), simple.dst.tolist())) == [(0, 1)]
         assert ledger.multi_edges_merged == 1
-        assert ledger.erased_out.tolist() == [1, 0]
-        assert ledger.erased_in.tolist() == [0, 1]
+        assert (g.out_deg - simple.out_deg).tolist() == [1, 0]
+        assert (g.in_deg - simple.in_deg).tolist() == [0, 1]
 
     def test_triple_edge_erases_two(self):
         g = DirectedMultigraph.from_edge_list([(2, 1)] * 3 + [(1, 2)])
         simple, ledger = erase_multigraph(g)
         assert simple.edge_count == 2
         assert ledger.multi_edges_merged == 2
-        assert ledger.erased_out.tolist() == [0, 0, 2]
+        assert (g.out_deg - simple.out_deg).tolist() == [0, 0, 2]
 
     def test_ledger_balance_on_random_multigraphs(self):
         law = zeta_law(2.5, 10_000)
-        rng = np.random.default_rng(6)
         for seed in range(10):
             result = generate_ecm(400, law, law, seed)
             stub_edges = result.bidegree.total_stubs
             edges = result.graph.edge_count
             assert result.ledger.total_erased == stub_edges - edges
-            assert result.ledger.erased_in.sum() == stub_edges - edges
             assert (
                 result.ledger.self_loops_removed + result.ledger.multi_edges_merged
                 == stub_edges - edges
             )
             assert edges_are_simple(result.graph.src, result.graph.dst, result.graph.n)
-            # degrees can only shrink
-            assert np.all(result.graph.out_deg <= result.bidegree.out_stubs)
-            assert np.all(result.graph.in_deg <= result.bidegree.in_stubs)
+            # degrees can only shrink, and each side's losses sum to the total
+            for erased in (result.bidegree.out_stubs - result.graph.out_deg,
+                           result.bidegree.in_stubs - result.graph.in_deg):
+                assert np.all(erased >= 0)
+                assert erased.sum() == result.ledger.total_erased
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("law_name, n", [("zeta", 500), ("uniform:2..12", 100)])
+    def test_per_node_erasure_matches_multiplicity_tally(self, law_name, n, seed):
+        # the cm graph of the same seed is the multigraph that ecm erases, so
+        # its self-loops and repeated pairs, tallied without erasure, give
+        # each node's lost stubs; the uniform law makes self-loops likely
+        law = zeta_law(2.5, 10_000) if law_name == "zeta" else parse_law(law_name)
+        multigraph = generate_cm(n, law, law, seed).graph
+        result = generate_ecm(n, law, law, seed)
+        pairs, multiplicity = np.unique(
+            np.stack([multigraph.src, multigraph.dst], axis=1), axis=0, return_counts=True)
+        loop = pairs[:, 0] == pairs[:, 1]
+        removed = np.where(loop, multiplicity, multiplicity - 1)
+        lost_out = np.bincount(np.repeat(pairs[:, 0], removed), minlength=n)
+        lost_in = np.bincount(np.repeat(pairs[:, 1], removed), minlength=n)
+        assert lost_out.tolist() == (result.bidegree.out_stubs - result.graph.out_deg).tolist()
+        assert lost_in.tolist() == (result.bidegree.in_stubs - result.graph.in_deg).tolist()
+        assert result.ledger.self_loops_removed == multiplicity[loop].sum()
+        assert result.ledger.multi_edges_merged == (multiplicity[~loop] - 1).sum()
+        assert removed.sum() > 0
+        if law_name != "zeta":
+            assert loop.any() and (multiplicity[~loop] > 1).any()
 
     def test_erased_fraction_decreases_with_size(self):
         law = zeta_law(2.5, 100_000)

@@ -279,6 +279,25 @@ class TestConsistencySweep:
         write_rows_csv(rows, path)
         assert read_rows_csv(path, ConsistencyRow) == rows
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda cells: cells[:-1], ":3: 7 cells, the header has 8"),
+        (lambda cells: cells + ["1"], ":3: 9 cells, the header has 8"),
+        (lambda cells: cells[:6] + ["yes"] + cells[7:],
+         ":3: a bool cell must be true or false, got 'yes'"),
+    ], ids=["short", "extra-cell", "bool-not-true-or-false"])
+    def test_malformed_record_rejected_with_its_line(self, tmp_path, tamper, message):
+        rows = run_consistency(builtin_joint("bernoulli-product"), sizes=(300,),
+                               replicas=1, seed=5)
+        path = tmp_path / "consistency.csv"
+        write_rows_csv(rows, path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(tamper(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_rows_csv(path, ConsistencyRow)
+        assert str(excinfo.value) == f"{path}{message}"
+        assert type(excinfo.value) is ValueError
+
 
 class TestEndpointLawSweep:
     def test_requires_cm(self):
