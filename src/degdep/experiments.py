@@ -249,7 +249,7 @@ def read_rows_csv(path, row_cls=ExperimentRow):
     hints = typing.get_type_hints(row_cls)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         expected = [f.name for f in fields(row_cls)]
         if header != expected:
             raise ValueError(f"{path}: header {header} does not match {expected}")

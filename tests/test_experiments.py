@@ -298,6 +298,12 @@ class TestConsistencySweep:
         assert str(excinfo.value) == f"{path}{message}"
         assert type(excinfo.value) is ValueError
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "consistency.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header None does not match"):
+            read_rows_csv(path, ConsistencyRow)
+
 
 class TestEndpointLawSweep:
     def test_requires_cm(self):
