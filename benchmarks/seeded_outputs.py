@@ -9,11 +9,11 @@ twice on the same graphs: once with the exact tie-break mean (no
 consistency sweep reads a wide joint law written by this script, whose
 samples have values and (x, y) cells too spread out for a bincount tally, so
 the sorting tallies run too.  Every command goes through `degdep.cli.main` in a
-temporary directory.  The runtime_ms column of sweep rows is dropped before
-hashing: it is the one part of an output that a fixed seed leaves free.  The
-script prints one `sha256  file` line per output, so two source trees that
-write the same bytes print the same lines.  From the root of a source
-checkout:
+temporary directory.  Sweep CSVs written before their runtime_ms column was
+removed have that column dropped before hashing, so those source trees print
+the same lines as later ones.  The script prints one `sha256  file` line per
+output, so two source trees that write the same bytes print the same lines.
+From the root of a source checkout:
 
     PYTHONPATH=src python benchmarks/seeded_outputs.py > head.txt
     PYTHONPATH=/path/to/other/checkout/src python benchmarks/seeded_outputs.py > base.txt
@@ -75,7 +75,12 @@ def write_wide_joint(path, width, spacing, rng):
 
 
 def without_runtime(data: bytes) -> bytes:
-    """CSV bytes with the runtime_ms column removed; other bytes unchanged."""
+    """CSV bytes with the runtime_ms column removed; other bytes unchanged.
+
+    Sweep rows no longer hold that column, so current source trees pass
+    through unchanged.  It is kept only while base commits compared against
+    still write the column, and can then be deleted.
+    """
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     if not rows or "runtime_ms" not in rows[0]:
         return data

@@ -5,14 +5,13 @@ the library's argument checks, raised before any output is written), 2 I/O
 or input-data error, 3 graph generation failure (repeated-pairing cap
 exhausted).  Argument ranges and names are checked by the library only.
 
-Reproducibility contract: a fixed --seed makes `generate` byte-identical
-across runs, and makes experiment sweeps byte-identical except for the
-runtime_ms column.  Every command reports the exact tie-break mean of the
-uniform-rank Spearman unless --tie-break-replicas K asks for the mean of K
-seeded draws, so `measure` values depend on --seed only with a count.
-Sweep cells derive their RNG seeds as child_seed = first 8 little-endian
-bytes of SHA-256("degdep-seed" 0x1f master 0x1f part ...), so results do
-not depend on execution order or --jobs.
+Reproducibility contract: a fixed --seed makes `generate` and every
+experiment sweep CSV byte-identical across runs.  Every command reports the
+exact tie-break mean of the uniform-rank Spearman unless --tie-break-replicas
+K asks for the mean of K seeded draws, so `measure` values depend on --seed
+only with a count.  Sweep cells derive their RNG seeds as child_seed = first
+8 little-endian bytes of SHA-256("degdep-seed" 0x1f master 0x1f part ...),
+so results do not depend on execution order or --jobs.
 """
 
 from __future__ import annotations
@@ -134,9 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tab = exp_sub.add_parser("table1",
                              help="empirical endpoint-degree laws of multigraphs vs "
                                   "their plain/size-biased limits")
-    tab.add_argument("--model", choices=("cm",), default="cm")
     add_sweep_args(tab)
     tab.add_argument("--pairs", type=_comma_list, default=PAIR_LABELS)
+    tab.set_defaults(model="cm")
 
     return parser
 

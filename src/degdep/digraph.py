@@ -145,7 +145,7 @@ class DirectedMultigraph:
             return self.out_deg
         if kind == "in":
             return self.in_deg
-        raise ValueError(f"degree kind must be 'out' or 'in', got {kind!r}")
+        raise ConfigError(f"degree kind must be 'out' or 'in', got {kind!r}")
 
     def _require_edges(self) -> None:
         if self.edge_count == 0:

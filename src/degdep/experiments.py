@@ -13,22 +13,18 @@ Three canned experiments drive the library end to end:
 
 Every cell (size index, replica index) owns RNGs seeded by
 :func:`degdep.seeding.child_seed`, so results do not depend on execution
-order and sweeps are byte-reproducible (the runtime_ms column is excluded
-from that contract).  Each (graph or sample, pair) is tabulated once and
-every measure read from that table, so a row's runtime_ms is the table
-build plus its own measure; a graph's pairs are tabulated together, sharing
-their edge-end sides, and each pair is charged an equal share of that
-build.  The uniform-rank Spearman value is by default its exact mean over
-tie-breaks (`PairTable.spearman_uniform_mean`), the limit of infinitely
-many draws; an explicit `tie_break_replicas` count averages that many
-seeded draws instead.  Cells may run concurrently; rows are sorted before
-writing.
+order and every byte of a sweep's CSV is reproducible.  Each (graph or
+sample, pair) is tabulated once and every measure read from that table; a
+graph's pairs are tabulated together, sharing their edge-end sides.  The
+uniform-rank Spearman value is by default its exact mean over tie-breaks
+(`PairTable.spearman_uniform_mean`), the limit of infinitely many draws; an
+explicit `tie_break_replicas` count averages that many seeded draws
+instead.  Cells may run concurrently; rows are sorted before writing.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -169,7 +165,6 @@ class ExperimentRow:
     measure: str
     value: float | None
     defined: bool
-    runtime_ms: float
     attempts: int
     erased_fraction: float | None
 
@@ -185,7 +180,6 @@ class ConsistencyRow:
     target: float
     abs_error: float | None
     defined: bool
-    runtime_ms: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,6 @@ class EndpointLawRow:
     pair: str
     side: str
     tv_distance: float
-    runtime_ms: float
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
                     rows.append(
                         ExperimentRow(
                             n=n, replica=replica, pair=label, measure=measure,
-                            value=None, defined=False, runtime_ms=0.0,
+                            value=None, defined=False,
                             attempts=exc.attempts, erased_fraction=None,
                         )
                     )
@@ -379,21 +372,16 @@ def run_null_model(config: ExperimentConfig) -> list[ExperimentRow]:
             result.ledger.total_erased / n if config.model == "ecm" else None
         )
         pairs = [DegreeTypePair.from_label(label) for label in config.pairs]
-        t0 = time.perf_counter()
         tables = PairTable.of_graph_pairs(result.graph, pairs)
-        build_s = (time.perf_counter() - t0) / len(pairs)
         for label, pair in zip(config.pairs, pairs):
             table = tables[pair]
             seed_parts = (config.seed, size_index, replica, pair_index[label])
             for measure in config.measures:
-                t0 = time.perf_counter()
                 value = measure_table(table, measure, seed_parts, config.tie_break_replicas)
-                elapsed_ms = (build_s + time.perf_counter() - t0) * 1e3
                 rows.append(
                     ExperimentRow(
                         n=n, replica=replica, pair=label, measure=measure,
                         value=value, defined=value is not None,
-                        runtime_ms=round(elapsed_ms, 3),
                         attempts=result.attempts, erased_fraction=erased,
                     )
                 )
@@ -453,17 +441,12 @@ def run_consistency(
         sample_rng = np.random.default_rng(
             child_seed(seed, size_index, replica, "consistency-sample")
         )
-        x, y = joint.sample(sample_rng, n)
-        t0 = time.perf_counter()
-        table = PairTable(x, y)
-        build_s = time.perf_counter() - t0
+        table = PairTable(*joint.sample(sample_rng, n))
         rows = []
         for measure in RANK_MEASURES:
-            t0 = time.perf_counter()
             value = measure_table(
                 table, measure, (seed, size_index, replica), tie_break_replicas
             )
-            elapsed_ms = (build_s + time.perf_counter() - t0) * 1e3
             target = targets[measure]
             rows.append(
                 ConsistencyRow(
@@ -471,7 +454,6 @@ def run_consistency(
                     value=value, target=target,
                     abs_error=None if value is None else abs(value - target),
                     defined=value is not None,
-                    runtime_ms=round(elapsed_ms, 3),
                 )
             )
         return rows
@@ -491,8 +473,7 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
     are the tabulated plain/size-biased laws.  Those limits are computed
     before any graph, so a law that cannot be size-biased fails first.  A
     pair's empirical laws are the two sides of its table, each occurrence
-    weighted 1/m; a row's runtime_ms is half of the pair's build share and
-    its two distances.
+    weighted 1/m.
     """
     if config.model != "cm":
         raise ConfigError(f"endpoint-law experiment requires model='cm', got {config.model!r}")
@@ -503,25 +484,17 @@ def run_endpoint_laws(config: ExperimentConfig) -> list[EndpointLawRow]:
     def cell_rows(size_index, n, replica):
         gen_seed = child_seed(config.seed, size_index, replica, "generate")
         result = _generate(config, n, gen_seed)
-        t0 = time.perf_counter()
         tables = PairTable.of_graph_pairs(result.graph, pairs)
-        build_s = (time.perf_counter() - t0) / len(pairs)
         rows = []
         for label, pair in zip(config.pairs, pairs):
             t = tables[pair]
             source_law, target_law = limits[pair]
-            t0 = time.perf_counter()
             tv_source = tv_distance(Pmf(t.ux, t.wx / t.m), source_law)
             tv_target = tv_distance(Pmf(t.uy, t.wy / t.m), target_law)
-            elapsed_ms = round((build_s + time.perf_counter() - t0) * 1e3 / 2, 3)
-            rows.append(
-                EndpointLawRow(n=n, replica=replica, pair=label, side="source",
-                               tv_distance=tv_source, runtime_ms=elapsed_ms)
-            )
-            rows.append(
-                EndpointLawRow(n=n, replica=replica, pair=label, side="target",
-                               tv_distance=tv_target, runtime_ms=elapsed_ms)
-            )
+            rows.append(EndpointLawRow(n=n, replica=replica, pair=label, side="source",
+                                       tv_distance=tv_source))
+            rows.append(EndpointLawRow(n=n, replica=replica, pair=label, side="target",
+                                       tv_distance=tv_target))
         return rows
 
     return _sweep(config.sizes, config.replicas, config.jobs, cell_rows)

@@ -279,17 +279,7 @@ def test_criterion_10_byte_reproducibility(tmp_path):
         rows_a, rows_b = tmp_path / "ra.csv", tmp_path / "rb.csv"
         assert cli_main([*sweep_args, "-o", str(rows_a)]) == 0
         assert cli_main([*sweep_args, "-o", str(rows_b)]) == 0
-
-        def strip_runtime(path):
-            lines = path.read_text().splitlines()
-            idx = lines[0].split(",").index("runtime_ms")
-            return [
-                ",".join(cell for i, cell in enumerate(line.split(",")) if i != idx)
-                for line in lines
-            ]
-
-        # runtime_ms is excluded from the determinism contract
-        assert strip_runtime(rows_a) == strip_runtime(rows_b)
+        assert rows_a.read_bytes() == rows_b.read_bytes()
         assert (
             (tmp_path / "ra.csv.summary.csv").read_bytes()
             == (tmp_path / "rb.csv.summary.csv").read_bytes()

@@ -204,9 +204,9 @@ class TestExperimentCommands:
         assert code == 0
         assert out.exists() and (tmp_path / "rows.csv.summary.csv").exists()
         header = out.read_text().splitlines()[0]
-        assert header == "n,replica,pair,measure,value,defined,runtime_ms,attempts,erased_fraction"
+        assert header == "n,replica,pair,measure,value,defined,attempts,erased_fraction"
 
-    def test_null_model_determinism_modulo_runtime(self, tmp_path):
+    def test_null_model_byte_identical_reruns(self, tmp_path):
         args = (
             "experiment", "null-model", "--model", "cm",
             "--sizes", "60", "--replicas", "2",
@@ -216,16 +216,7 @@ class TestExperimentCommands:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*args, "-o", str(a)) == 0
         assert run_cli(*args, "-o", str(b)) == 0
-
-        def strip_runtime(path):
-            lines = path.read_text().splitlines()
-            idx = lines[0].split(",").index("runtime_ms")
-            return [
-                ",".join(cell for i, cell in enumerate(line.split(",")) if i != idx)
-                for line in lines
-            ]
-
-        assert strip_runtime(a) == strip_runtime(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_consistency_builtin(self, tmp_path):
         out = tmp_path / "cons.csv"
@@ -359,6 +350,8 @@ EXIT_CODES = {
         ["experiment", "consistency", "--joint", "{joint_2_64}", "--seed", "1",
          "--sizes", "100", "--replicas", "1"], 2),
     "table1-replicas-0": ([*_TAB1, "--replicas", "0"], 1),
+    # cm is the only model table1 measures, so there is no option to name it
+    "table1-model": ([*_TAB1, "--replicas", "1", "--model", "cm"], 1),
     "table1-bad-law": (
         ["experiment", "table1", "--sizes", "50", "--replicas", "1",
          "--out-law", "cauchy:1", "--in-law", "poisson:2", "--seed", "1"], 1),
@@ -380,6 +373,7 @@ EXIT_MESSAGES = {
     "consistency-nan-joint": "probs must be finite",
     "consistency-joint-value-2**63": ":2: value out of range",
     "consistency-joint-value-2**64": ":1: value out of range",
+    "table1-model": "unrecognized arguments: --model cm",
 }
 
 
@@ -417,7 +411,11 @@ def test_exit_codes(case, tmp_path, worked_graph, capsys):
     refused = (mock.patch.object(np, "bincount", side_effect=MemoryError)
                if case == "measure-id-too-large-for-memory" else contextlib.nullcontext())
     with refused:
-        assert run_cli(*argv) == code
+        try:
+            exit_code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            exit_code = exc.code
+    assert exit_code == code
     if code == 1:
         assert not out.exists()
     if case in EXIT_MESSAGES:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from degdep import (
+    BiDegreeRealization,
     ConfigError,
     DegreeTypePair,
     DirectedMultigraph,
@@ -28,8 +29,9 @@ from degdep.experiments import (
     generate_graph,
     run_consistency,
     run_endpoint_laws,
+    write_rows_csv,
 )
-from degdep.pmf import read_joint_pmf
+from degdep.pmf import read_joint_pmf, read_pmf
 
 POISSON = parse_law("poisson:2")
 CONSTANT_X = JointPmf.from_entries({(0, 0): 0.5, (0, 1): 0.5})
@@ -53,6 +55,8 @@ def consistency(**overrides):
 CHECKS = {
     "parse_law-unknown": (lambda: parse_law("cauchy:1"), "invalid law 'cauchy:1'"),
     "parse_law-no-params": (lambda: parse_law("poisson"), "'poisson' must look like"),
+    "parse_law-uniform-one-bound": (lambda: parse_law("uniform:3"),
+                                    "uniform law needs 'uniform:a..b'"),
     "degree-law-negative-support": (
         lambda: sample_bidegree(10, parse_law("uniform:-2..3"), POISSON, 0),
         "out_law must be supported on non-negative integers, got support from -2"),
@@ -96,6 +100,8 @@ CHECKS = {
     "pair-label-shape": (lambda: DegreeTypePair.from_label("outin"), "'outin'"),
     "pair-label-type": (lambda: DegreeTypePair.from_label("up-in"),
                         "alpha must be 'out' or 'in', got 'up'"),
+    "degrees-kind": (lambda: GRAPH.degrees("both"),
+                     "degree kind must be 'out' or 'in', got 'both'"),
     "config-model": (lambda: config(model="erdos"), "model must be one of"),
     "config-sizes": (lambda: config(sizes=(0, 5)), r"sizes must all be >= 1, got \(0, 5\)"),
     "config-descending": (lambda: config(sizes=(5, 1)), "ascending"),
@@ -160,14 +166,57 @@ def test_argument_check_raises_config_error(case):
     assert isinstance(excinfo.value, ValueError)
 
 
+def text_file(path, text):
+    path.write_text(text)
+    return path
+
+
+# a law of positive mean can still draw zero stubs on every node
+ALMOST_ZERO = Pmf(np.array([0, 1]), np.array([1 - 1e-12, 1e-12]))
+
+# each call, given a scratch directory, and a pattern its message must match.
+# The graph, law and bi-degree containers hold what file readers and
+# generators fill them with, so they check their contents as data
+DATA_ERRORS = {
+    "read_joint_pmf-not-a-number": (
+        lambda tmp: read_joint_pmf(text_file(tmp / "joint.tsv", "0\t0\tnot-a-number\n")),
+        r":1: malformed entry"),
+    "read_pmf-repeated-value": (
+        lambda tmp: read_pmf(text_file(tmp / "law.tsv", "1\t0.5\n1\t0.5\n")),
+        "duplicate support values"),
+    "full_report-one-edge": (
+        lambda tmp: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0),
+        "requires at least 2 edge occurrences"),
+    "sample_bidegree-zero-stubs": (lambda tmp: sample_bidegree(4, ALMOST_ZERO, ALMOST_ZERO, 0),
+                                   "zero stubs on every node"),
+    "graph-negative-n": (lambda tmp: DirectedMultigraph(-1, [], []),
+                         "node count must be non-negative"),
+    "graph-unequal-ends": (lambda tmp: DirectedMultigraph(3, [0, 1], [1]),
+                           "source and target arrays differ in length"),
+    "graph-triples": (lambda tmp: DirectedMultigraph.from_edge_list([(0, 1, 2)]),
+                      r"sequence of \(source, target\) pairs"),
+    "pmf-2d-support": (lambda tmp: Pmf(np.array([[1, 2]]), np.array([0.5, 0.5])),
+                       "support must be one-dimensional"),
+    "pmf-2d-probs": (lambda tmp: Pmf([1, 2], np.array([[0.5, 0.5]])),
+                     "probs must be one-dimensional"),
+    "pmf-empty": (lambda tmp: Pmf([], []), "support must be nonempty"),
+    "pmf-lengths": (lambda tmp: Pmf([1, 2], [1.0]),
+                    "support and probs must have the same length"),
+    "joint-lengths": (lambda tmp: JointPmf([0, 1], [0], [1.0]),
+                      "xs and ys must have the same length"),
+    "joint-empty": (lambda tmp: JointPmf([], [], []), "joint support must be nonempty"),
+    "joint-probs-length": (lambda tmp: JointPmf([0, 1], [0, 1], [1.0]),
+                           "probs must match the support length"),
+    "bidegree-unbalanced": (lambda tmp: BiDegreeRealization(np.array([1]), np.array([2]), 0),
+                            "stub totals must balance"),
+    # like a sweep that produced nothing to write
+    "write_rows_csv-no-rows": (lambda tmp: write_rows_csv([], tmp / "rows.csv"),
+                               "no rows to write"),
+}
+
+
 def test_data_errors_stay_plain_value_errors(tmp_path):
-    bad = tmp_path / "joint.tsv"
-    bad.write_text("0\t0\tnot-a-number\n")
-    # a law of positive mean can still draw zero stubs on every node
-    almost_zero = Pmf(np.array([0, 1]), np.array([1 - 1e-12, 1e-12]))
-    for call in (lambda: read_joint_pmf(bad),
-                 lambda: full_report(DirectedMultigraph.from_edge_list([(0, 1)]), 0),
-                 lambda: sample_bidegree(4, almost_zero, almost_zero, 0)):
-        with pytest.raises(ValueError) as excinfo:
-            call()
-        assert not isinstance(excinfo.value, ConfigError)
+    for case, (call, pattern) in DATA_ERRORS.items():
+        with pytest.raises(ValueError, match=pattern) as excinfo:
+            call(tmp_path)
+        assert not isinstance(excinfo.value, ConfigError), case

@@ -1,7 +1,7 @@
 """Seeded outputs keep their bytes across commits.
 
 The lines are the digests of `benchmarks/seeded_outputs.py`: every output of
-its seeded `generate`, `measure` and sweep runs (runtime_ms dropped).  A
+its seeded `generate`, `measure` and sweep runs.  A
 pinned line changes only together with a CHANGES.md entry that names the
 output and the reason.
 """
