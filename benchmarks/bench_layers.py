@@ -8,12 +8,14 @@ The groups, and what one size builds:
 
   generate    for the poisson:3 and zeta:2.5 laws, parse_law with a cold cache,
               sample_bidegree, pair_stubs_cm and erase_multigraph, each on the
-              seeded output of the stage before; at sizes up to 10000 also one
-              generate_rcm at poisson:3, with its attempt count.
+              seeded output of the stage before, and generate_ecm for the whole
+              chain; at sizes up to 10000 also one generate_rcm at poisson:3,
+              with its attempt count.
   measures    one ecm zeta:2.5 graph; per degree-type pair, the PairTable
               build from the graph (PairTable.of_graph, its node-degree
               compression included), Kendall, average-rank Spearman, Pearson,
-              one uniform-rank tie-break draw and the exact tie-break mean;
+              one uniform-rank tie-break draw, 32 draws on shared buffers
+              (spearman_uniform_draws) and the exact tie-break mean;
               then one row (pair "all") for the four tables built at once,
               sharing their edge-end sides (PairTable.of_graph_pairs).
   io          one ecm zeta:2.5 graph; write_edge_list and read_edge_list.
@@ -74,6 +76,7 @@ RCM_LAW = "poisson:3"
 RCM_MAX_N = 10_000
 RCM_MAX_ATTEMPTS = 30_000
 PAIRS_PER_X = 25     # sampled pairs per x value for the wide Kendall
+TIE_BREAK_DRAWS = 32  # draws per value, as --tie-break-replicas 32 makes
 
 
 def best_of(repeats, fn):
@@ -123,7 +126,8 @@ def generate_group(n, seed, tmp):
                {"parse_law": lambda: (_build_law.cache_clear(), parse_law(text)),
                 "sample_bidegree": lambda: sample_bidegree(n, law, law, seed),
                 "pair_stubs_cm": lambda: pair_stubs_cm(bidegree, seed),
-                "erase_multigraph": lambda: erase_multigraph(multigraph)})
+                "erase_multigraph": lambda: erase_multigraph(multigraph),
+                "generate_ecm": lambda: generate_ecm(n, law, law, seed)})
     if n <= RCM_MAX_N:
         law = parse_law(RCM_LAW)
         attempts = generate_rcm(n, law, law, seed, max_attempts=RCM_MAX_ATTEMPTS).attempts
@@ -144,6 +148,8 @@ def measures_group(n, seed, tmp):
                 "spearman_average": table.spearman_average,
                 "pearson": table.pearson,
                 "spearman_uniform_draw": lambda: table.spearman_uniform(seed),
+                "spearman_uniform_draws": lambda: table.spearman_uniform_draws(
+                    range(seed, seed + TIE_BREAK_DRAWS)),
                 "spearman_uniform_mean": table.spearman_uniform_mean})
     yield ({"n": n, "law": GRAPH_LAW, "pair": "all", "edges": graph.edge_count},
            {"tables": lambda: PairTable.of_graph_pairs(graph, ALL_PAIRS)})

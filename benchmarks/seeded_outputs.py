@@ -9,10 +9,8 @@ twice on the same graphs: once with the exact tie-break mean (no
 consistency sweep reads a wide joint law written by this script, whose
 samples have values and (x, y) cells too spread out for a bincount tally, so
 the sorting tallies run too.  Every command goes through `degdep.cli.main` in a
-temporary directory.  Sweep CSVs written before their runtime_ms column was
-removed have that column dropped before hashing, so those source trees print
-the same lines as later ones.  The script prints one `sha256  file` line per
-output, so two source trees that write the same bytes print the same lines.
+temporary directory.  The script prints one `sha256  file` line per output,
+so two source trees that write the same bytes print the same lines.
 From the root of a source checkout:
 
     PYTHONPATH=src python benchmarks/seeded_outputs.py > head.txt
@@ -20,9 +18,7 @@ From the root of a source checkout:
     diff base.txt head.txt
 """
 
-import csv
 import hashlib
-import io
 import os
 import sys
 import tempfile
@@ -74,24 +70,6 @@ def write_wide_joint(path, width, spacing, rng):
             fh.write(f"{x}\t{y}\t{w / total!r}\n")
 
 
-def without_runtime(data: bytes) -> bytes:
-    """CSV bytes with the runtime_ms column removed; other bytes unchanged.
-
-    Sweep rows no longer hold that column, so current source trees pass
-    through unchanged.  It is kept only while base commits compared against
-    still write the column, and can then be deleted.
-    """
-    rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-    if not rows or "runtime_ms" not in rows[0]:
-        return data
-    drop = rows[0].index("runtime_ms")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row[:drop] + row[drop + 1:])
-    return out.getvalue().encode("utf-8")
-
-
 def run_commands(wide):
     for argv in COMMANDS:
         argv = [arg.format(wide=wide) for arg in argv]
@@ -119,8 +97,6 @@ def digest_lines():
         for name in sorted(os.listdir(outputs)):
             with open(os.path.join(outputs, name), "rb") as fh:
                 data = fh.read()
-            if name.endswith(".csv"):
-                data = without_runtime(data)
             lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
     return lines
 

@@ -161,12 +161,13 @@ def pair_stubs_cm(b: BiDegreeRealization, rng) -> GenerationResult:
 
     Every out-stub is equally likely to land on every in-stub, realized by a
     single random shuffle of the in-stub slots.  The resulting degrees equal
-    the stub counts exactly.
+    the stub counts exactly, so the graph takes the stub counts as its
+    degrees, and it takes the fresh endpoint arrays without a copy.
     """
     rng = as_rng(rng)
     src, tgt = _stub_endpoints(b)
     rng.shuffle(tgt)
-    graph = DirectedMultigraph(b.out_stubs.size, src, tgt)
+    graph = DirectedMultigraph._adopt(b.out_stubs.size, src, tgt, (b.out_stubs, b.in_stubs))
     return GenerationResult(graph, b, ErasureLedger(), attempts=1)
 
 
@@ -194,13 +195,14 @@ def generate_rcm(
     rng = as_rng(rng)
     b = sample_bidegree(n, out_law, in_law, rng)
     src, tgt = _stub_endpoints(b)
-    # one buffer for every attempt: the graph constructor copies its input
+    # one buffer for every attempt; the simple pairing's graph adopts it,
+    # with the stub counts as its degrees
     dst = np.empty_like(tgt)
     for attempt in range(1, max_attempts + 1):
         np.copyto(dst, tgt)
         rng.shuffle(dst)
         if edges_are_simple(src, dst, n):
-            graph = DirectedMultigraph(n, src, dst)
+            graph = DirectedMultigraph._adopt(n, src, dst, (b.out_stubs, b.in_stubs))
             return GenerationResult(graph, b, ErasureLedger(), attempts=attempt)
     raise GenerationError(
         f"no simple pairing in {max_attempts} attempts "
@@ -228,8 +230,11 @@ def erase_multigraph(g: DirectedMultigraph) -> tuple[DirectedMultigraph, Erasure
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     ledger = ErasureLedger(g.edge_count - keys.size, keys.size - int(first.sum()))
+    # the merged keys become the graph's target ids in place
     keys = keys[first]
-    return DirectedMultigraph(n, keys // n, keys % n), ledger
+    src = keys // n
+    keys %= n
+    return DirectedMultigraph._adopt(n, src, keys), ledger
 
 
 def generate_ecm(n: int, out_law: Pmf, in_law: Pmf, rng) -> GenerationResult:

@@ -66,16 +66,6 @@ def _compress(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return uniq, counts, codes.astype(np.min_scalar_type(uniq.size - 1))
 
 
-def _tie_broken_order(codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Entries by ascending value, each run of ties in uniformly random order.
-
-    A uniform random permutation followed by a stable sort on the value
-    index leaves the members of every tie group in the permutation's order.
-    """
-    perm = rng.permutation(codes.size)
-    return perm[np.argsort(codes[perm], kind="stable")]
-
-
 def _exact_dot(a: np.ndarray, b: np.ndarray, bound: int) -> int:
     """Sum of a*b as a Python int, for int64 vectors whose products are at
     most `bound` in magnitude: summed in chunks whose int64 dot cannot wrap."""
@@ -306,18 +296,51 @@ class PairTable:
         of 1..m, the classical closed form reduces to
         3 * sum((2Ra-(m+1))(2Rb-(m+1))) / (m^3 - m).
         """
+        return self.spearman_uniform_draws([rng])[0]
+
+    def spearman_uniform_draws(self, rngs) -> list[float]:
+        """`spearman_uniform` of each RNG in turn, on buffers allocated once.
+
+        A side's tie-break is the stable order of its value indices under a
+        uniform permutation, drawn as `rng.permutation(m)` draws it (a
+        shuffle of 0..m-1).  The order sorts the composite keys
+        `index << bits | position`, position being the entry's place in the
+        permutation: the keys are distinct, so any sort of them orders each
+        run of ties by position, as a stable sort by index does.  The keys
+        have the smallest unsigned dtype that holds them, 64 bits for m up
+        to 2**32.
+        """
         self._require_pairs()
+        rngs = [as_rng(rng) for rng in rngs]
         m = self.m
-        rng = as_rng(rng)
+        bits = (m - 1).bit_length()
+        key_type = np.min_scalar_type((max(self.ux.size, self.uy.size) - 1) << bits | (m - 1))
+        positions = np.arange(m, dtype=key_type)
+        keys = np.empty(m, dtype=key_type)
+        perm, at, order = (np.empty(m, dtype=np.int64) for _ in range(3))
         # 2R - (m+1) for the occurrences in ascending value order, with rank
         # R = 1 at the largest value, as in _doubled_ranks_by_value
         centered = np.arange(m - 1, -m, -2)
-        da = np.empty(m, dtype=np.int64)
-        da[_tie_broken_order(self.cx, rng)] = centered
-        db = np.empty(m, dtype=np.int64)
-        db[_tie_broken_order(self.cy, rng)] = centered
-        value = 3 * _exact_dot(da, db, (m - 1) ** 2) / (m**3 - m)
-        return min(1.0, max(-1.0, value))
+        da, db = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+        sides = [(codes, np.empty(m, dtype=codes.dtype), ranks)
+                 for codes, ranks in ((self.cx, da), (self.cy, db))]
+        values = []
+        for rng in rngs:
+            for codes, picked, ranks in sides:
+                np.copyto(perm, positions)
+                rng.shuffle(perm)
+                # the indices are a permutation, so "clip" changes none; a
+                # "raise" take would buffer its output
+                np.take(codes, perm, out=picked, mode="clip")
+                np.left_shift(picked, bits, out=keys, dtype=key_type)
+                keys |= positions
+                keys.sort()
+                np.bitwise_and(keys, (1 << bits) - 1, out=at)
+                np.take(perm, at, out=order, mode="clip")
+                ranks[order] = centered
+            value = 3 * _exact_dot(da, db, (m - 1) ** 2) / (m**3 - m)
+            values.append(min(1.0, max(-1.0, value)))
+        return values
 
     def spearman_uniform_mean(self) -> float:
         """The exact mean of `spearman_uniform` over its tie-breaks.
@@ -357,10 +380,9 @@ def measure_table(
     if measure == "spearman_uniform":
         if tie_break_replicas is None:
             return table.spearman_uniform_mean()
-        draws = [
-            table.spearman_uniform(child_seed(*seed_parts, rep, "tie-break"))
-            for rep in range(tie_break_replicas)
-        ]
+        draws = table.spearman_uniform_draws(
+            child_seed(*seed_parts, rep, "tie-break") for rep in range(tie_break_replicas)
+        )
         return float(np.mean(draws))
     if measure == "spearman_average":
         return table.spearman_average()

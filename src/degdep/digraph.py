@@ -89,12 +89,30 @@ class DirectedMultigraph:
     in_deg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # copies, so freezing them leaves the caller's arrays writable
+        self._own(as_int_array(self.src, "source ids").copy(),
+                  as_int_array(self.dst, "target ids").copy())
+
+    @classmethod
+    def _adopt(cls, n: int, src, dst, degrees=None) -> "DirectedMultigraph":
+        """The graph of arrays the caller hands over and will not touch again.
+
+        It checks them as the constructor does, but freezes them in place
+        instead of copying them.  `degrees`, when given, is the (out, in)
+        pair the caller knows to equal the bincounts of `src` and `dst`;
+        it is adopted too, and the bincounts are not run.
+        """
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        graph._own(as_int_array(src, "source ids"), as_int_array(dst, "target ids"), degrees)
+        return graph
+
+    def _own(self, src: np.ndarray, dst: np.ndarray, degrees=None) -> None:
+        """Check int64 edge arrays, count the degrees unless given, and freeze
+        all four arrays as the graph's own."""
         n = int(self.n)
         if n < 0:
             raise ValueError("node count must be non-negative")
-        # copies, so freezing them leaves the caller's arrays writable
-        src = as_int_array(self.src, "source ids").copy()
-        dst = as_int_array(self.dst, "target ids").copy()
         for what, ids in (("source", src), ("target", dst)):
             if ids.min(initial=0) < 0:
                 raise ValueError(f"{what} ids must be non-negative")
@@ -102,23 +120,10 @@ class DirectedMultigraph:
             raise ValueError("source and target arrays differ in length")
         if src.size and max(int(src.max()), int(dst.max())) >= n:
             raise ValueError("node id out of range for the declared node count")
-        try:
-            if n > _MAX_NODES:
-                raise MemoryError
-            out_deg = np.bincount(src, minlength=n).astype(np.int64, copy=False)
-            in_deg = np.bincount(dst, minlength=n).astype(np.int64, copy=False)
-        except MemoryError:
-            largest = max(int(src.max(initial=-1)), int(dst.max(initial=-1)))
-            raise ValueError(
-                f"degree arrays for {n} nodes do not fit in memory (largest node id {largest})"
-            ) from None
+        if degrees is None:
+            degrees = _degree_arrays(n, src, dst)
         object.__setattr__(self, "n", n)
-        for attr, val in (
-            ("src", src),
-            ("dst", dst),
-            ("out_deg", out_deg),
-            ("in_deg", in_deg),
-        ):
+        for attr, val in zip(("src", "dst", "out_deg", "in_deg"), (src, dst, *degrees)):
             val.setflags(write=False)
             object.__setattr__(self, attr, val)
 
@@ -154,6 +159,20 @@ class DirectedMultigraph:
     def edge_degree_view(self, pair: DegreeTypePair) -> tuple[np.ndarray, np.ndarray]:
         """The (source-side, target-side) degrees of every edge occurrence."""
         return self.degrees(pair.alpha)[self.src], self.degrees(pair.beta)[self.dst]
+
+
+def _degree_arrays(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 out- and in-degree arrays of n nodes, by bincount."""
+    try:
+        if n > _MAX_NODES:
+            raise MemoryError
+        return (np.bincount(src, minlength=n).astype(np.int64, copy=False),
+                np.bincount(dst, minlength=n).astype(np.int64, copy=False))
+    except MemoryError:
+        largest = max(int(src.max(initial=-1)), int(dst.max(initial=-1)))
+        raise ValueError(
+            f"degree arrays for {n} nodes do not fit in memory (largest node id {largest})"
+        ) from None
 
 
 def edges_are_simple(src: np.ndarray, dst: np.ndarray, n: int) -> bool:

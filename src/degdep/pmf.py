@@ -53,9 +53,13 @@ _ZETA_KMAX = 1_000_000
 class ConfigError(ValueError):
     """A value the caller supplied is out of range, unknown or malformed.
 
-    Raised by every library check on an argument; malformed data read from a
-    file raises a plain ValueError instead.  The command line maps it to
-    exit code 1.
+    Raised by the library's checks on settings: counts, seeds, law texts and
+    model, pair and measure names.  Data raises a plain ValueError instead:
+    malformed data read from a file, and the contents that the constructors
+    of `DirectedMultigraph`, `Pmf`, `JointPmf` and `BiDegreeRealization`
+    refuse, as `experiments.write_rows_csv` refuses an empty list of rows.
+    The command line maps ConfigError to exit code 1 and a plain ValueError
+    to exit code 2.
     """
 
 

@@ -143,7 +143,7 @@ class TestMeasure:
         def no_draws(*args):
             raise AssertionError("a uniform-rank draw ran")
 
-        monkeypatch.setattr(PairTable, "spearman_uniform", no_draws)
+        monkeypatch.setattr(PairTable, "spearman_uniform_draws", no_draws)
         assert run_cli("measure", str(graph), "--seed", "5", "--tie-break-replicas", "3",
                        "--pairs", "out-in", "--measures", "kendall") == 0
         payload = json.loads(capsys.readouterr().out)
@@ -158,7 +158,7 @@ class TestMeasure:
         def no_draws(*args):
             raise AssertionError("a uniform-rank draw ran")
 
-        monkeypatch.setattr(PairTable, "spearman_uniform", no_draws)
+        monkeypatch.setattr(PairTable, "spearman_uniform_draws", no_draws)
         outputs = []
         for seed in ("1", "2"):
             out = tmp_path / f"seed-{seed}.csv"

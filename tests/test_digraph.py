@@ -75,8 +75,12 @@ class TestConstruction:
 
     def test_copies_the_callers_arrays(self):
         src, dst = np.array([0, 1]), np.array([1, 0])
-        DirectedMultigraph(2, src, dst)
+        g = DirectedMultigraph(2, src, dst)
+        assert not np.shares_memory(g.src, src) and not np.shares_memory(g.dst, dst)
         src[0] = dst[0] = 1
+        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 0]
+        for array in (g.src, g.dst, g.out_deg, g.in_deg):
+            assert not array.flags.writeable
 
     def test_rejects_id_beyond_declared_n(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -8,6 +8,7 @@ past two million pairs, against values derived in `Fraction` arithmetic.
 """
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -294,6 +295,32 @@ class TestUniformDraws:
             assert sorted(ranks.tolist()) == list(range(1, m + 1))
             greater = values[:, None] > values[None, :]
             assert np.all((ranks[:, None] < ranks[None, :])[greater])
+
+    @pytest.mark.parametrize("m, distinct_x, wide_keys", [(600, 9, False),
+                                                          (1 << 17, 1 << 16, True)])
+    def test_draws_equal_the_uniform_rank_oracle(self, m, distinct_x, wide_keys):
+        rng = np.random.default_rng(m)
+        x = rng.integers(0, distinct_x, m) * 5 - 7
+        y = x // 3 + rng.integers(0, 4, m)
+        table = PairTable(x, y)
+        # a composite key is a value index above the m - 1 bits of a position
+        key_bits = ((table.ux.size - 1) << (m - 1).bit_length()).bit_length()
+        assert (key_bits > 32) == wide_keys
+        seeds = [3, 4, 5]
+        for seed, value in zip(seeds, table.spearman_uniform_draws(seeds)):
+            draw_rng = np.random.default_rng(seed)
+            ra, rb = uniform_ranks(x, draw_rng), uniform_ranks(y, draw_rng)
+            num = sum(map(operator.mul, (2 * ra - (m + 1)).tolist(), (2 * rb - (m + 1)).tolist()))
+            assert value == min(1.0, max(-1.0, 3 * num / (m**3 - m)))
+
+    def test_one_draw_is_the_first_of_the_draws(self):
+        rng = np.random.default_rng(9)
+        table = PairTable(rng.integers(0, 6, 300), rng.integers(0, 3, 300))
+        for seed in range(5):
+            assert table.spearman_uniform(seed) == table.spearman_uniform_draws([seed])[0]
+            generators = [np.random.default_rng(seed) for _ in range(2)]
+            assert (table.spearman_uniform(generators[0])
+                    == table.spearman_uniform_draws(generators[1:])[0])
 
     def test_distinct_values_draw_equals_average_rank_rho(self):
         rng = np.random.default_rng(6)
