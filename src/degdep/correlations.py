@@ -317,28 +317,33 @@ class PairTable:
         key_type = np.min_scalar_type((max(self.ux.size, self.uy.size) - 1) << bits | (m - 1))
         positions = np.arange(m, dtype=key_type)
         keys = np.empty(m, dtype=key_type)
-        perm, at, order = (np.empty(m, dtype=np.int64) for _ in range(3))
+        perm, at, order, da = (np.empty(m, dtype=np.int64) for _ in range(4))
+        picked = {codes.dtype: np.empty(m, dtype=codes.dtype) for codes in (self.cx, self.cy)}
         # 2R - (m+1) for the occurrences in ascending value order, with rank
         # R = 1 at the largest value, as in _doubled_ranks_by_value
         centered = np.arange(m - 1, -m, -2)
-        da, db = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-        sides = [(codes, np.empty(m, dtype=codes.dtype), ranks)
-                 for codes, ranks in ((self.cx, da), (self.cy, db))]
+
+        def tie_broken_order(codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+            """`order`, filled with the entries by ascending value, each run of
+            ties in uniformly random order."""
+            np.copyto(perm, positions)
+            rng.shuffle(perm)
+            # the indices are a permutation, so "clip" changes none; a "raise"
+            # take would buffer its output
+            np.take(codes, perm, out=picked[codes.dtype], mode="clip")
+            np.left_shift(picked[codes.dtype], bits, out=keys, dtype=key_type)
+            np.bitwise_or(keys, positions, out=keys)
+            keys.sort()
+            np.bitwise_and(keys, (1 << bits) - 1, out=at)
+            return np.take(perm, at, out=order, mode="clip")
+
         values = []
         for rng in rngs:
-            for codes, picked, ranks in sides:
-                np.copyto(perm, positions)
-                rng.shuffle(perm)
-                # the indices are a permutation, so "clip" changes none; a
-                # "raise" take would buffer its output
-                np.take(codes, perm, out=picked, mode="clip")
-                np.left_shift(picked, bits, out=keys, dtype=key_type)
-                keys |= positions
-                keys.sort()
-                np.bitwise_and(keys, (1 << bits) - 1, out=at)
-                np.take(perm, at, out=order, mode="clip")
-                ranks[order] = centered
-            value = 3 * _exact_dot(da, db, (m - 1) ** 2) / (m**3 - m)
+            da[tie_broken_order(self.cx, rng)] = centered
+            # the target side's ranks are `centered` in its own order, so the
+            # sum pairs them with da gathered in that order
+            np.take(da, tie_broken_order(self.cy, rng), out=at, mode="clip")
+            value = 3 * _exact_dot(at, centered, (m - 1) ** 2) / (m**3 - m)
             values.append(min(1.0, max(-1.0, value)))
         return values
 
