@@ -35,6 +35,20 @@ _WRITE_ROWS = 1 << 18
 # bytes.translate table of the plain-file check: a space counts as a tab
 _SPACE_AS_TAB = bytes.maketrans(b" ", b"\t")
 
+# The writer's word tables: the ASCII digits of each base-10**4 group as one
+# uint32 word, NUL where a leading zero is dropped.  Index i is group i when
+# no group before it was non-zero; index 10**4 + i is group i zero-padded.
+# The tables are built from bytes and read back through a uint8 view, so each
+# word's bytes come out in the order they were written, on a machine of
+# either byte order.
+_GROUP = 10**4
+_PADDED = b"".join(b"%04d" % i for i in range(_GROUP))
+_UNPADDED = b"".join(b"%4d" % i for i in range(_GROUP)).replace(b" ", b"\0")
+# the last group of an id shows its one zero; an inner group shows none
+_LAST_WORDS = np.frombuffer(_UNPADDED + _PADDED, dtype=np.uint32)
+_INNER_WORDS = np.frombuffer(b"\0" * 4 + _UNPADDED[4:] + _PADDED, dtype=np.uint32)
+_TAB_WORD, _LF_WORD = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
+
 
 @dataclass(frozen=True)
 class DegreeTypePair:
@@ -262,29 +276,45 @@ def write_edge_list(g: DirectedMultigraph, path) -> None:
 
 
 def _edge_lines(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The bytes of 'src<TAB>dst<LF>' for each row, as a uint8 array."""
-    src_digits, src_shown = _decimal_digits(src)
-    dst_digits, dst_shown = _decimal_digits(dst)
-    ws, wd = src_digits.shape[1], dst_digits.shape[1]
-    line = np.empty((src.size, ws + wd + 2), dtype=np.uint8)
-    keep = np.ones(line.shape, dtype=bool)
-    line[:, :ws], keep[:, :ws] = src_digits, src_shown
-    line[:, ws] = ord("\t")
-    line[:, ws + 1 : -1], keep[:, ws + 1 : -1] = dst_digits, dst_shown
-    line[:, -1] = ord("\n")
-    return line[keep]
+    """The bytes of 'src<TAB>dst<LF>' for each row, as a uint8 array.
+
+    Each row is a line of uint32 words: one per base-10**4 group of each id,
+    looked up in a table of ASCII words, then a TAB or LF word.  A NUL byte
+    marks a leading zero or a word's unused bytes, and the line drops it.
+    """
+    gs, gd = _group_count(src), _group_count(dst)
+    words = np.empty((src.size, gs + gd + 2), dtype=np.uint32)
+    _group_words(src, words[:, :gs])
+    words[:, gs] = _TAB_WORD
+    _group_words(dst, words[:, gs + 1 : -1])
+    words[:, -1] = _LF_WORD
+    raw = words.view(np.uint8)
+    return raw[raw != 0]
 
 
-def _decimal_digits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII digits of non-negative ids, right-aligned in a (k, width) uint8
-    matrix, and the mask of the digits printed (all but leading zeros)."""
-    width = len(str(int(ids.max())))
-    digits = np.empty((ids.size, width), dtype=np.uint8)
-    shown = np.empty((ids.size, width), dtype=bool)
-    for i in range(width):
-        leading = ids // 10 ** (width - 1 - i)
-        digits[:, i] = leading % 10
-        shown[:, i] = leading > 0
-    shown[:, -1] = True
-    digits += ord("0")
-    return digits, shown
+def _group_count(ids: np.ndarray) -> int:
+    """Base-10**4 groups of the largest of non-negative ids (at least 1)."""
+    return -(-len(str(int(ids.max()))) // 4)
+
+
+def _group_words(ids: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (k, g) columns of `out` with the words of each id's g groups,
+    most significant first.
+
+    A group after a non-zero one keeps its zeros: its index is shifted into
+    the padded half of the table.  The shifted index is non-zero exactly
+    when some group so far was, so it is the next group's `started` mask.
+    """
+    rest, lows = ids, []
+    for _ in range(out.shape[1] - 1):
+        rest, low = np.divmod(rest, _GROUP)
+        lows.append(low)
+    table = _INNER_WORDS if lows else _LAST_WORDS
+    # the indices are in range, and mode "clip" writes to `out` unbuffered
+    np.take(table, rest, out=out[:, 0], mode="clip")
+    started = rest != 0
+    for col, low in enumerate(reversed(lows), 1):
+        np.add(low, _GROUP, out=low, where=started)
+        table = _INNER_WORDS if col < len(lows) else _LAST_WORDS
+        np.take(table, low, out=out[:, col], mode="clip")
+        started = low != 0

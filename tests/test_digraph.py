@@ -403,7 +403,10 @@ class TestWriterMatchesFormat:
         return SimpleNamespace(src=src, dst=dst, edge_count=src.size)
 
     def test_every_decimal_width(self, tmp_path):
-        ids = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+        ids = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+        # 4-digit groups that keep their leading zeros after a non-zero group
+        ids += [10**4 + 5, 12_0034, 10**8 + 10**4 + 1, 1_0000_0000_0000_0005,
+                90_0000_5000_0000_0600, 2**63 - 1]
         src = np.array(ids, dtype=np.int64)
         path = tmp_path / "graph.tsv"
         for s, d in ((src, src[::-1]), (src, np.zeros_like(src)), (src[:1], src[-1:])):
