@@ -32,22 +32,10 @@ _MAX_ID = 2**63 - 1
 _MAX_NODES = np.iinfo(np.intp).max // 8
 # rows formatted per write: bounds the temporaries of write_edge_list
 _WRITE_ROWS = 1 << 18
+# the writer formats ids in groups of this many values, 4 digits each
+_GROUP = 10**4
 # bytes.translate table of the plain-file check: a space counts as a tab
 _SPACE_AS_TAB = bytes.maketrans(b" ", b"\t")
-
-# The writer's word tables: the ASCII digits of each base-10**4 group as one
-# uint32 word, NUL where a leading zero is dropped.  Index i is group i when
-# no group before it was non-zero; index 10**4 + i is group i zero-padded.
-# The tables are built from bytes and read back through a uint8 view, so each
-# word's bytes come out in the order they were written, on a machine of
-# either byte order.
-_GROUP = 10**4
-_PADDED = b"".join(b"%04d" % i for i in range(_GROUP))
-_UNPADDED = b"".join(b"%4d" % i for i in range(_GROUP)).replace(b" ", b"\0")
-# the last group of an id shows its one zero; an inner group shows none
-_LAST_WORDS = np.frombuffer(_UNPADDED + _PADDED, dtype=np.uint32)
-_INNER_WORDS = np.frombuffer(b"\0" * 4 + _UNPADDED[4:] + _PADDED, dtype=np.uint32)
-_TAB_WORD, _LF_WORD = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -281,6 +269,9 @@ def _edge_lines(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Each row is a line of uint32 words: one per base-10**4 group of each id,
     looked up in a table of ASCII words, then a TAB or LF word.  A NUL byte
     marks a leading zero or a word's unused bytes, and the line drops it.
+    The tables are built as bytes and viewed as words, and the lines are
+    read back through a uint8 view, so each word's bytes come out in the
+    order they were built, on a machine of either byte order.
     """
     gs, gd = _group_count(src), _group_count(dst)
     words = np.empty((src.size, gs + gd + 2), dtype=np.uint32)
@@ -318,3 +309,24 @@ def _group_words(ids: np.ndarray, out: np.ndarray) -> None:
         table = _INNER_WORDS if col < len(lows) else _LAST_WORDS
         np.take(table, low, out=out[:, col], mode="clip")
         started = low != 0
+
+
+def _word_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The writer's tables of words for the last group of an id and for an
+    inner group, each 2 * 10**4 long.
+
+    A word holds the ASCII digits of a base-10**4 group, with NUL where a
+    leading zero is dropped.  Index i is group i when no group before it
+    was non-zero; index 10**4 + i is group i zero-padded.  The last group
+    of an id shows its one zero, an inner group none.
+    """
+    groups = np.arange(_GROUP)[:, None]
+    padded = (groups // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where(groups >= [1000, 100, 10, 0], padded, np.uint8(0))
+    last = np.concatenate([unpadded, padded]).view(np.uint32).ravel()
+    unpadded[0] = 0
+    return last, np.concatenate([unpadded, padded]).view(np.uint32).ravel()
+
+
+_LAST_WORDS, _INNER_WORDS = _word_tables()
+_TAB_WORD, _LF_WORD = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
