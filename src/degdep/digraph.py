@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -296,21 +297,23 @@ def _group_words(ids: np.ndarray, out: np.ndarray) -> None:
     the padded half of the table.  The shifted index is non-zero exactly
     when some group so far was, so it is the next group's `started` mask.
     """
+    last_words, inner_words = _word_tables()
     rest, lows = ids, []
     for _ in range(out.shape[1] - 1):
         rest, low = np.divmod(rest, _GROUP)
         lows.append(low)
-    table = _INNER_WORDS if lows else _LAST_WORDS
+    table = inner_words if lows else last_words
     # the indices are in range, and mode "clip" writes to `out` unbuffered
     np.take(table, rest, out=out[:, 0], mode="clip")
     started = rest != 0
     for col, low in enumerate(reversed(lows), 1):
         np.add(low, _GROUP, out=low, where=started)
-        table = _INNER_WORDS if col < len(lows) else _LAST_WORDS
+        table = inner_words if col < len(lows) else last_words
         np.take(table, low, out=out[:, col], mode="clip")
         started = low != 0
 
 
+@cache
 def _word_tables() -> tuple[np.ndarray, np.ndarray]:
     """The writer's tables of words for the last group of an id and for an
     inner group, each 2 * 10**4 long.
@@ -318,15 +321,18 @@ def _word_tables() -> tuple[np.ndarray, np.ndarray]:
     A word holds the ASCII digits of a base-10**4 group, with NUL where a
     leading zero is dropped.  Index i is group i when no group before it
     was non-zero; index 10**4 + i is group i zero-padded.  The last group
-    of an id shows its one zero, an inner group none.
+    of an id shows its one zero, an inner group none.  They are built on
+    the first write, so a process that writes no edge list never holds them.
     """
-    groups = np.arange(_GROUP)[:, None]
-    padded = (groups // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    unpadded = np.where(groups >= [1000, 100, 10, 0], padded, np.uint8(0))
+    groups = np.arange(_GROUP, dtype=np.uint16)[:, None]
+    scales = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (groups // scales % 10).astype(np.uint8) + np.uint8(ord("0"))
+    # the last digit shows at every value, the others from their scale on
+    scales[-1] = 0
+    unpadded = np.where(groups >= scales, padded, np.uint8(0))
     last = np.concatenate([unpadded, padded]).view(np.uint32).ravel()
     unpadded[0] = 0
     return last, np.concatenate([unpadded, padded]).view(np.uint32).ravel()
 
 
-_LAST_WORDS, _INNER_WORDS = _word_tables()
 _TAB_WORD, _LF_WORD = np.frombuffer(b"\t\0\0\0\n\0\0\0", dtype=np.uint32)
