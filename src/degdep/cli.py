@@ -17,6 +17,7 @@ so results do not depend on execution order or --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,12 +29,12 @@ from .experiments import (
     BUILTIN_JOINTS,
     RANK_MEASURES,
     ExperimentConfig,
-    _cell_to_text,
     builtin_joint,
     generate_graph,
     run_consistency,
     run_endpoint_laws,
     run_null_model,
+    write_csv,
     write_rows_csv,
     write_summary_csv,
 )
@@ -177,21 +178,16 @@ def _cmd_measure(args) -> int:
     graph = read_edge_list(args.graph)
     report = full_report(graph, seed=args.seed, tie_break_replicas=args.tie_break_replicas,
                          pairs=args.pairs, measures=args.measures)
-    if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        lines = ["pair,measure,value,defined"]
-        for label, entry in report["pairs"].items():
-            for key, value in entry.items():
-                if not key.startswith("degenerate_"):
-                    cells = (label, key, value, value is not None)
-                    lines.append(",".join(_cell_to_text(cell) for cell in cells))
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
+           else contextlib.nullcontext(sys.stdout))
+    with out as fh:
+        if args.format == "json":
+            fh.write(json.dumps(report, indent=2) + "\n")
+        else:
+            write_csv(fh, ("pair", "measure", "value", "defined"),
+                      ((label, key, value, value is not None)
+                       for label, entry in report["pairs"].items()
+                       for key, value in entry.items() if not key.startswith("degenerate_")))
     return 0
 
 

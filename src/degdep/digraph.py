@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .pmf import ConfigError, as_int_array, load_table, table_lines
+from .pmf import ConfigError, as_int_array, table_lines
 
 __all__ = [
     "DegreeTypePair",
@@ -196,32 +196,39 @@ def read_edge_list(path) -> DirectedMultigraph:
     Ids are integers as Python's int() reads them, with 0 <= id < 2**63, and
     any whitespace separates the two.  Blank lines and '#' comments are
     ignored; repeated lines are multi-edges.  The node count is the largest
-    id plus one.  Malformed lines are rejected with their line number.
+    id plus one.  Malformed lines are rejected with their line number.  A
+    plain file is parsed as one buffer, any other line by line, more slowly.
     """
     with open(path, "rb") as fh:
         edges = _parse_plain_edges(fh.read())
     if edges is None:
-        # numpy's C parser reads a subset of this language (ASCII digits with
-        # an optional sign) to the same values, so a clean two-column,
-        # non-negative result is the file's graph; the line parser decides
-        # anything else.
-        with open(path, "r", encoding="utf-8") as fh:
-            edges = load_table(fh, np.int64)
-        if edges is None or edges.shape[1] != 2 or (edges.size and edges.min() < 0):
-            edges = _parse_edge_lines(path)
+        edges = _parse_edge_lines(path)
     n = int(edges.max(initial=-1)) + 1
     return DirectedMultigraph(n, edges[:, 0], edges[:, 1])
 
 
 def _parse_plain_edges(data: bytes) -> np.ndarray | None:
-    """The (m, 2) int64 edges of a file of plain 'digits<TAB or SPACE>digits<LF>'
-    lines, parsed as one buffer; None for any other file.
+    """The (m, 2) int64 edges of a file of plain 'digits<TAB or SPACE>digits'
+    lines under any whole '#' lines, parsed as one buffer; None for any other.
 
-    The separator check leaves digit runs between the separators, which may
-    be empty; an empty run leaves fromstring short of two values a line.  An
-    id past int64 comes back as 2**63 - 1, so that value also refuses the
-    file, which the slower readers then decide.
+    Every line ends in LF, or in CRLF if the first one does.  A CR left
+    after that, or a CR or non-ASCII byte in a '#' line, refuses the file,
+    so that the line parser splits and decodes it.  The separator check
+    leaves digit runs between the separators, which may be empty; an empty
+    run leaves fromstring short of two values a line.  An id past int64
+    comes back as 2**63 - 1, so that value also refuses the file.
     """
+    first = data.find(b"\n")
+    if first > 0 and data[first - 1] == ord("\r"):
+        data = data.replace(b"\r\n", b"\n")
+    start = 0
+    while data.startswith(b"#", start):
+        end = data.find(b"\n", start) + 1
+        header = data[start:end]
+        if not end or b"\r" in header or not header.isascii():
+            return None
+        start = end
+    data = data[start:]
     seps = data.translate(_SPACE_AS_TAB, b"0123456789")
     lines = len(seps) // 2
     if seps != b"\t\n" * lines:

@@ -219,12 +219,13 @@ def _text_to_cell(text: str, hint):
     return text == "true" if kind is bool else kind(text)
 
 
-def _write_csv(path, names, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for record in records:
-            writer.writerow([_cell_to_text(value) for value in record])
+def write_csv(fh, names, records) -> None:
+    """Write a header of `names`, then one line of cells per record, to the
+    open text handle `fh`."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(names)
+    for record in records:
+        writer.writerow([_cell_to_text(value) for value in record])
 
 
 def write_rows_csv(rows, path) -> None:
@@ -233,7 +234,8 @@ def write_rows_csv(rows, path) -> None:
     if not rows:
         raise ValueError("no rows to write")
     names = [f.name for f in fields(rows[0])]
-    _write_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, names, ([getattr(row, name) for name in names] for row in rows))
 
 
 def read_rows_csv(path, row_cls=ExperimentRow):
@@ -288,7 +290,8 @@ def summarize_null_model(rows) -> list[dict]:
 def write_summary_csv(rows, path) -> None:
     """Write the per-cell summary block produced by :func:`summarize_null_model`."""
     summary = summarize_null_model(rows)
-    _write_csv(path, _SUMMARY_COLUMNS, (entry.values() for entry in summary))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, _SUMMARY_COLUMNS, (entry.values() for entry in summary))
 
 
 # ---------------------------------------------------------------------------

@@ -422,23 +422,6 @@ def _build_law(name: str, arg: str) -> Pmf:
     raise ValueError(f"unknown law name {name!r}")
 
 
-def load_table(fh, dtype) -> np.ndarray | None:
-    """numpy's parse of an open text table with '#' comments, at least 2-D.
-
-    None on any failure or warning (an empty input; on older numpy, an
-    integer parsed through a float): the caller then reads the file with
-    :func:`table_lines`, which alone reports errors.  A handle, unlike a
-    path, keeps numpy from reading a missing file's '.gz' sibling,
-    decompressing '*.gz' names and fetching URLs.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=2)
-    except (ValueError, ArithmeticError, Warning):
-        return None
-
-
 def table_lines(path, layout: str):
     """Yield (lineno, line, fields) for each non-blank line of a text table.
 
@@ -463,12 +446,21 @@ def _read_law_table(path, layout: str) -> list[np.ndarray]:
 
     Values are read by int(), of magnitude below 2**63, and probabilities by
     float().  numpy's parse reads a subset of this to the same numbers, but
-    also takes -2**63, so a result holding it goes to the line loop.
+    also takes -2**63, so a result holding it goes to the line loop.  So
+    does any failure or warning of numpy's parse (an empty input; on older
+    numpy, an integer parsed through a float): the line loop alone reports
+    errors.  A handle, unlike a path, keeps numpy from reading a missing
+    file's '.gz' sibling, decompressing '*.gz' names and fetching URLs.
     """
     *values, prob = layout.split("<TAB>")
     dtype = np.dtype([(name, np.int64) for name in values] + [(prob, np.float64)])
     with open(path, "r", encoding="utf-8") as fh:
-        table = load_table(fh, dtype)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=2)
+        except (ValueError, ArithmeticError, Warning):
+            table = None
     if table is None or any(table[name].min(initial=0) == -(2**63) for name in values):
         rows = []
         for lineno, line, fields in table_lines(path, layout):

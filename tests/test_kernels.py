@@ -14,11 +14,6 @@ from helpers import inversions_brute
 from oracles import kendall_naive
 
 
-@pytest.fixture(params=[kernels.BACKEND])
-def count_inversions(request):
-    return kernels.count_inversions
-
-
 def _inversions_vectorized(arr) -> int:
     """O(m^2) count in numpy, one row at a time; fast enough for m of a few
     thousand, where the pure-Python brute force is too slow."""
@@ -26,16 +21,16 @@ def _inversions_vectorized(arr) -> int:
 
 
 class TestCountInversions:
-    def test_trivial_lengths(self, count_inversions):
-        assert count_inversions(np.array([], dtype=np.int64)) == 0
-        assert count_inversions(np.array([5])) == 0
+    def test_trivial_lengths(self):
+        assert kernels.count_inversions(np.array([], dtype=np.int64)) == 0
+        assert kernels.count_inversions(np.array([5])) == 0
 
-    def test_sorted_and_reversed(self, count_inversions):
-        assert count_inversions(np.arange(100)) == 0
-        assert count_inversions(np.arange(100)[::-1]) == 100 * 99 // 2
+    def test_sorted_and_reversed(self):
+        assert kernels.count_inversions(np.arange(100)) == 0
+        assert kernels.count_inversions(np.arange(100)[::-1]) == 100 * 99 // 2
 
-    def test_all_ties(self, count_inversions):
-        assert count_inversions(np.zeros(50, dtype=np.int64)) == 0
+    def test_all_ties(self):
+        assert kernels.count_inversions(np.zeros(50, dtype=np.int64)) == 0
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=60))
     @settings(max_examples=200, deadline=None)
@@ -52,9 +47,9 @@ class TestCountInversions:
             if m == 257:
                 assert got == inversions_brute(arr.tolist())
 
-    def test_negative_values(self, count_inversions):
+    def test_negative_values(self):
         arr = np.array([3, -1, -1, 2, -5])
-        assert count_inversions(arr) == inversions_brute(arr.tolist())
+        assert kernels.count_inversions(arr) == inversions_brute(arr.tolist())
 
     @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), max_size=40))
     @settings(max_examples=100, deadline=None)
