@@ -247,7 +247,7 @@ class TestEdgeListFiles:
         with pytest.raises(UnicodeDecodeError):
             read_edge_list(path)
 
-    def test_header_that_is_not_utf8_is_decoded_and_refused(self, tmp_path):
+    def test_header_that_is_not_utf8_fails_to_decode(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_bytes(b"# \xff\n0\t1\n")
         with pytest.raises(UnicodeDecodeError):
@@ -274,8 +274,9 @@ def read_outcome(reader, path):
     with mock.patch.object(digraph, "DirectedMultigraph", Parsed), \
             mock.patch.object(helpers, "DirectedMultigraph", Parsed), \
             warnings.catch_warnings(record=True) as caught:
-        # recorded, not raised: a warning raised as an error inside loadtxt
-        # would only send the file to the line parser and so go unseen
+        # recorded, not raised: a warning raised as an error inside the
+        # numpy parse would only send the file to the line parser and so go
+        # unseen
         warnings.simplefilter("always")
         try:
             return reader(path)
@@ -382,10 +383,10 @@ def edge_list_texts(draw):
     """Edge-list text, mostly two ids a line.  A third of the files are plain
     'id<TAB or SPACE>id' lines under up to two '#' lines, all ending in LF or
     all in CRLF, most often with a final line end, as the whole-buffer parse
-    takes them.  Of the rest, half also mix signs,
-    punctuation, CR, non-ASCII digits, a BOM and NUL into the ids.  Ids have
-    at most 5 characters, so every id stays below 2**63, past which the two
-    readers stop at different lines; named cases cover that boundary."""
+    takes them.  Of the rest, half also mix signs, punctuation, CR, non-ASCII
+    digits, a BOM and NUL into the ids.  Ids have at most 5 characters, so
+    every id stays below 2**63, past which the two readers stop at different
+    lines; named cases cover that boundary."""
     alphabet = list("0123456789")
     if draw(st.integers(0, 2)) == 0:
         ident = st.text(st.sampled_from(alphabet), min_size=1, max_size=5)
